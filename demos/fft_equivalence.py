@@ -1,16 +1,19 @@
 """
-FFT convolution: exact equivalence and truncated speed
-======================================================
+Binned pair sums: exact equivalence and truncated speed
+=======================================================
 
-The binned cross-validation statistic is a convolution of grid counts
-with a kernel sampled on grid offsets.  Computed three ways:
+The binned cross-validation statistic ``n^-2 sum_i c_i (c * k)_i`` is a
+convolution of grid counts with a kernel sampled on grid offsets.  It
+equals ``n^-2 sum_j A(j) k(delta j)`` with ``A`` the autocorrelation of
+the counts, which one real FFT pair per sample computes.  Computed
+three ways:
 
-* ``direct-binned``   explicit sum over kernel offsets (the oracle)
-* ``fft-M``           zero-padded FFT with the full offset range
-* ``fft-L``           FFT with the kernel cut at tau standard deviations
+* ``direct-binned``   explicit convolution over kernel offsets (the oracle)
+* ``fft-M``           dot product of ``A`` with the full-range kernel
+* ``fft-L``           the same with the kernel cut at tau standard deviations
 
 The first two agree to machine precision.  The third trades a small,
-controlled error for much smaller transforms.
+controlled error for a much smaller kernel table.
 """
 
 import time
@@ -22,8 +25,6 @@ from fastband import (
     linear_binning,
     make_grid,
     normal_scale_start,
-    padded_size_full,
-    padded_size_truncated,
     psi_binned,
 )
 
@@ -46,7 +47,7 @@ print("fft-M         :", full, f"  (rel gap {abs(full - direct) / abs(direct):.2
 print("fft-L         :", trunc, f"  (rel gap {abs(trunc - full) / abs(full):.2e})")
 
 # ----------------------------------------------------------------------
-# Why fft-L is cheaper: smaller kernels, smaller padded transforms
+# Why fft-L is cheaper: fewer kernel points per evaluation
 # ----------------------------------------------------------------------
 
 grid180 = make_grid(x, (180, 180))
@@ -54,14 +55,17 @@ lam = 2.0 * np.linalg.eigvalsh(h)[-1]
 halfwidths = effective_halfwidths(lam, grid180.delta, grid180.shape)
 print("\ngrid shape           :", grid180.shape)
 print("truncated halfwidths :", halfwidths)
-print("padded size, full    :", padded_size_full(grid180.shape))
-print("padded size, trunc   :", padded_size_truncated(grid180.shape, halfwidths))
+print("kernel points, full  :", int(np.prod([2 * m - 1 for m in grid180.shape])))
+print("kernel points, trunc :", int(np.prod([2 * l + 1 for l in halfwidths])))
 
 # ----------------------------------------------------------------------
 # Wall-clock comparison at a larger grid
 # ----------------------------------------------------------------------
 
 gc180 = linear_binning(x, grid180)
+t0 = time.perf_counter()
+gc180.autocorrelation
+print(f"\nautocorrelation, once per sample : {1000 * (time.perf_counter() - t0):7.2f} ms")
 for mode in ("fft-M", "fft-L"):
     t0 = time.perf_counter()
     for _ in range(5):

@@ -3,7 +3,8 @@
 The package builds kernel density estimates on regular grids: samples
 are linearly binned, cross-validation kernels are tabulated on grid
 offsets, and the pairwise double sums behind least-squares
-cross-validation become a single zero-padded FFT convolution.  A
+cross-validation become one dot product of the kernel table with the
+count autocorrelation, which a single real FFT pair per sample gives.  A
 Nelder-Mead search over log-Cholesky coordinates then minimizes the
 objective over all symmetric positive definite bandwidth matrices.
 Integrated density derivative functionals of higher order ride the same
@@ -26,6 +27,7 @@ from .errors import (
 from .fftconv import (
     DEFAULT_TAU,
     CountsFftCache,
+    autocorrelate,
     convolve,
     convolve_direct,
     effective_halfwidths,
@@ -126,6 +128,7 @@ __all__ = [
     "zero_pad_kernel",
     "convolve",
     "convolve_direct",
+    "autocorrelate",
     "CountsFftCache",
     # functionals
     "PSI_MODES",

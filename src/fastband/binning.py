@@ -1,11 +1,13 @@
 """Regular grids and linear binning of multivariate samples."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateAxis, OutOfRange, ShapeMismatch
+from .fftconv import autocorrelate
 
 __all__ = ["GridSpec", "GridCounts", "make_grid", "linear_binning", "grid_points"]
 
@@ -63,7 +65,11 @@ class GridSpec:
 
 @dataclass
 class GridCounts:
-    """Linear-binning weights attached to the grid they live on."""
+    """Linear-binning weights attached to the grid they live on.
+
+    The counts are treated as fixed once attached: the autocorrelation
+    is computed on first use and cached.
+    """
 
     grid: GridSpec
     counts: np.ndarray = field(repr=False)
@@ -72,6 +78,11 @@ class GridCounts:
     def n(self):
         """Total weight, equal to the sample size."""
         return float(self.counts.sum())
+
+    @cached_property
+    def autocorrelation(self):
+        """Count autocorrelation over all offsets, see :func:`autocorrelate`."""
+        return autocorrelate(self.counts)
 
 
 def make_grid(x, shape, margin_fraction=0.05):
@@ -135,11 +146,13 @@ def linear_binning(x, grid):
     Raises
     ------
     OutOfRange
-        If any point lies outside ``[lo, hi]``.
+        If any point is NaN or infinite, or lies outside ``[lo, hi]``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != grid.d:
         raise ShapeMismatch(f"points have dimension {x.shape[1]}, grid has {grid.d}")
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange("sample contains NaN or infinite values")
     delta = grid.delta
     t = (x - grid.lo) / delta
     eps = 1e-9

@@ -36,7 +36,6 @@ from .selector import (
     normal_scale_start,
     select_bandwidth,
 )
-from .fftconv import CountsFftCache
 
 __all__ = ["RunReport", "main"]
 
@@ -312,17 +311,14 @@ def _bench_objective_run(x, mode, grid_size, tau):
     """One benchmark unit: bin the sample, then sweep the objective."""
     h0 = normal_scale_start(x)
     binning_ms = 0.0
-    if mode == "direct-exact":
-        data, cache = x, None
-    else:
+    data = x
+    if mode != "direct-exact":
         t0 = time.perf_counter()
         grid = make_grid(x, (grid_size,) * x.shape[1])
-        gc = linear_binning(x, grid)
+        data = linear_binning(x, grid)
         binning_ms = (time.perf_counter() - t0) * 1000.0
-        data, cache = gc, CountsFftCache(gc.counts)
     for factor in _BENCH_FACTORS:
-        lscv_objective(data, factor * h0, mode=mode, tau=tau,
-                       counts_fft_cache=cache)
+        lscv_objective(data, factor * h0, mode=mode, tau=tau)
     return binning_ms
 
 
@@ -391,10 +387,8 @@ def cmd_qr_bench(args):
         sigma = BandwidthMatrix(normal_scale_start(x))
         grid = make_grid(x, (args.grid,) * args.dim)
         gc = linear_binning(x, grid)
-        cache = CountsFftCache(gc.counts)
 
-        q_fft = q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau,
-                           counts_fft_cache=cache)
+        q_fft = q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau)
         q_direct = q_r_exact(x, sigma, r)
 
         def time_one(func):
@@ -406,10 +400,7 @@ def cmd_qr_bench(args):
                 ts.append((time.perf_counter() - t0) * 1000.0)
             return float(np.mean(ts))
 
-        fft_ms = time_one(
-            lambda: q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau,
-                               counts_fft_cache=cache)
-        )
+        fft_ms = time_one(lambda: q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau))
         direct_ms = time_one(lambda: q_r_exact(x, sigma, r))
         denom = max(abs(q_direct), 1e-300)
         return {

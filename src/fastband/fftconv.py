@@ -1,4 +1,4 @@
-"""Zero-padded FFT convolution of grid counts with truncated kernel grids."""
+"""Grid-count autocorrelation and zero-padded FFT convolution with kernel grids."""
 
 import math
 
@@ -16,6 +16,7 @@ __all__ = [
     "zero_pad_kernel",
     "convolve",
     "convolve_direct",
+    "autocorrelate",
     "CountsFftCache",
 ]
 
@@ -149,8 +150,8 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     Computes ``s_j = sum_i counts_i kernel_{j - i}`` for every grid node
     ``j``, with counts treated as zero outside the grid.  Both arrays
     are zero-padded to a common power-of-two shape, multiplied in the
-    frequency domain, and the valid window is extracted at offset
-    ``L_k`` per axis.
+    frequency domain with real-input transforms, and the valid window
+    is extracted at offset ``L_k`` per axis.
 
     Parameters
     ----------
@@ -161,8 +162,8 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     padded_shape : tuple of int, optional
         FFT shape; defaults to ``padded_size_truncated``.
     counts_fft : ndarray, optional
-        Precomputed FFT of the zero-padded counts at ``padded_shape``,
-        as returned by :class:`CountsFftCache`.
+        Precomputed real transform (``rfftn``) of the zero-padded counts
+        at ``padded_shape``, as returned by :class:`CountsFftCache`.
 
     Returns
     -------
@@ -177,13 +178,13 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     if padded_shape is None:
         padded_shape = padded_size_truncated(counts.shape, halfwidths)
     if counts_fft is None:
-        counts_fft = sfft.fftn(zero_pad_counts(counts, padded_shape))
-    kernel_fft = sfft.fftn(zero_pad_kernel(kernel, padded_shape))
-    full = sfft.ifftn(counts_fft * kernel_fft)
+        counts_fft = sfft.rfftn(zero_pad_counts(counts, padded_shape))
+    kernel_fft = sfft.rfftn(zero_pad_kernel(kernel, padded_shape))
+    full = sfft.irfftn(counts_fft * kernel_fft, s=padded_shape)
     window = tuple(
         slice(l, l + m) for l, m in zip(halfwidths, counts.shape)
     )
-    return full[window].real
+    return full[window]
 
 
 def convolve_direct(counts, kernel):
@@ -214,12 +215,41 @@ def convolve_direct(counts, kernel):
     return out
 
 
-class CountsFftCache:
-    """Reusable FFTs of one counts array across many kernel shapes.
+def autocorrelate(counts):
+    """Autocorrelation of a counts array over every grid offset.
 
-    The selector evaluates its objective for many bandwidths on a fixed
-    grid.  The padded shape only takes a handful of distinct values, so
-    the forward transform of the counts is memoized per shape.
+    Returns ``A(j) = sum_i counts_i counts_{i + j}`` for offsets
+    ``j_k = -(M_k - 1) .. M_k - 1``, so the zero offset sits at index
+    ``M_k - 1`` on each axis; the layout matches a full-support kernel
+    grid.  For any kernel grid ``k`` the binned pair sum is
+    ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)``, so one transform
+    pair per sample serves every bandwidth.  The real transforms run
+    at ``next_fast_len(2 M_k - 1)`` per axis, long enough that the
+    circular product does not wrap.
+
+    Parameters
+    ----------
+    counts : ndarray
+        Grid counts, shape ``M``.
+
+    Returns
+    -------
+    ndarray of shape ``(2 M_1 - 1, ..., 2 M_d - 1)``.
+    """
+    counts = np.asarray(counts, dtype=float)
+    padded = tuple(sfft.next_fast_len(2 * m - 1, real=True) for m in counts.shape)
+    spec = sfft.rfftn(counts, s=padded)
+    circular = sfft.irfftn(spec.real ** 2 + spec.imag ** 2, s=padded)
+    offsets = [np.arange(1 - m, m) % p for m, p in zip(counts.shape, padded)]
+    return circular[np.ix_(*offsets)]
+
+
+class CountsFftCache:
+    """Reusable real transforms of one counts array across padded shapes.
+
+    Feeds the ``counts_fft`` argument of :func:`convolve` when one
+    counts array is convolved with many kernels.  The forward transform
+    of the counts is memoized per padded shape.
     """
 
     def __init__(self, counts):
@@ -227,8 +257,8 @@ class CountsFftCache:
         self._cache = {}
 
     def get(self, padded_shape):
-        """FFT of the zero-padded counts at ``padded_shape``."""
+        """``rfftn`` of the zero-padded counts at ``padded_shape``."""
         key = tuple(int(p) for p in padded_shape)
         if key not in self._cache:
-            self._cache[key] = sfft.fftn(zero_pad_counts(self.counts, key))
+            self._cache[key] = sfft.rfftn(zero_pad_counts(self.counts, key))
         return self._cache[key]

@@ -4,15 +4,8 @@ import numpy as np
 
 from .binning import GridCounts
 from .errors import OutOfRange, ShapeMismatch
-from .fftconv import (
-    DEFAULT_TAU,
-    CountsFftCache,
-    convolve,
-    convolve_direct,
-    effective_halfwidths,
-    padded_size_full,
-    padded_size_truncated,
-)
+# ``convolve`` is unused here; perfbench/tracing.py patches it by this name.
+from .fftconv import DEFAULT_TAU, convolve, convolve_direct, effective_halfwidths
 from .gaussian import eta_r, normal_pdf
 from .linalg import BandwidthMatrix
 
@@ -148,31 +141,35 @@ def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
 # binned pairwise sums
 # ---------------------------------------------------------------------------
 
-def _binned_vstat(gc, kernel, mode, counts_fft_cache=None):
-    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for a tabulated kernel."""
+def _binned_vstat(gc, kernel, mode):
+    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for a tabulated kernel.
+
+    ``"direct-binned"`` convolves offset by offset.  The FFT modes use
+    the identity ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)`` with the
+    cached count autocorrelation ``A``, restricted to the kernel's box.
+    """
     counts = gc.counts
-    if mode == "direct-binned":
-        conv = convolve_direct(counts, kernel)
-    else:
-        halfwidths = tuple((s - 1) // 2 for s in kernel.shape)
-        if mode == "fft-M":
-            padded = padded_size_full(counts.shape)
-        else:
-            padded = padded_size_truncated(counts.shape, halfwidths)
-        cfft = counts_fft_cache.get(padded) if counts_fft_cache else None
-        conv = convolve(counts, kernel, padded_shape=padded, counts_fft=cfft)
     n = counts.sum()
-    return float(np.sum(counts * conv) / (n * n))
+    if mode == "direct-binned":
+        pair_sum = np.sum(counts * convolve_direct(counts, kernel))
+    else:
+        halfwidths = ((s - 1) // 2 for s in kernel.shape)
+        box = tuple(slice(m - 1 - l, m + l) for m, l in zip(counts.shape, halfwidths))
+        pair_sum = np.vdot(gc.autocorrelation[box], kernel)
+    return float(pair_sum / (n * n))
 
 
-def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
-               counts_fft_cache=None):
+def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     """Binned double sum of the order-``r`` CV kernel.
 
     Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
     binning: with counts ``c`` and the tabulated kernel ``k``, returns
     ``n^-2 sum_i c_i (c * k)_i``, which equals ``n^-2 sum_j k(delta j)
-    A(j)`` with ``A`` the autocorrelation of the counts.
+    A(j)`` with ``A`` the autocorrelation of the counts.  The FFT modes
+    evaluate the second form from ``gc.autocorrelation``, computed once
+    per sample, so each call costs one kernel tabulation and one dot
+    product; ``"direct-binned"`` evaluates the first form without any
+    transform.
 
     ``"fft-L"`` equals ``"fft-M"`` minus exactly the terms at offsets
     outside its box ``B`` (see :func:`build_kernel_grid`).  The dropped
@@ -196,8 +193,6 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
     form : str, optional
         Kernel route, ``"t"`` or ``"eta"``; orders above 0 always use
         the eta route.
-    counts_fft_cache : CountsFftCache, optional
-        Memoized counts transforms for repeated calls on one sample.
 
     Returns
     -------
@@ -206,15 +201,15 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("psi_binned expects GridCounts from linear_binning")
     kernel = build_kernel_grid(gc.grid, h, r=r, mode=mode, tau=tau, form=form)
-    return _binned_vstat(gc, kernel, mode, counts_fft_cache)
+    return _binned_vstat(gc, kernel, mode)
 
 
-def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU, counts_fft_cache=None):
+def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
     """Binned V-statistic ``n^-2 sum_i c_i (c * k)_i`` with ``k = eta_r``."""
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("q_r_binned expects GridCounts from linear_binning")
     kernel = eta_kernel_grid(gc.grid, sigma, r, mode=mode, tau=tau)
-    return _binned_vstat(gc, kernel, mode, counts_fft_cache)
+    return _binned_vstat(gc, kernel, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +219,17 @@ def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU, counts_fft_cache=Non
 def _pairwise_vstat(x, func):
     """Chunked evaluation of ``n^-2 sum_i sum_j func(X_i - X_j)``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
+    n, d = x.shape
+    # Differences are built axis by axis, so the inner loop runs over
+    # the n partners rather than over the d coordinates; the cost per
+    # pair then no longer depends on n.  The rows keep pair order.
+    xt = np.ascontiguousarray(x.T)
     chunk = max(1, _PAIR_BUDGET // max(1, n))
     total = 0.0
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        diffs = x[start:stop, None, :] - x[None, :, :]
-        total += float(np.sum(func(diffs.reshape(-1, x.shape[1]))))
+        diffs = xt[:, start:stop, None] - xt[:, None, :]
+        total += float(np.sum(func(diffs.reshape(d, -1).T)))
     return total / (n * n)
 
 

@@ -55,11 +55,14 @@ def normal_pdf(x, sigma):
     """
     bw = _as_bandwidth(sigma)
     x, single = _as_points(x, bw.d)
-    z = np.linalg.solve(bw.chol, x.T)
+    # Whitening by the inverse Cholesky factor, rather than multiplying
+    # by the inverse of sigma, keeps the accuracy of a triangular solve
+    # when sigma is ill-conditioned along a rotated axis.
+    z = x @ np.linalg.inv(bw.chol.T)
     # A near-singular covariance sends the quadratic form to inf; the
     # density limit is 0 there, so the overflow is benign.
     with np.errstate(over="ignore"):
-        quad = np.sum(z * z, axis=0)
+        quad = np.einsum("ij,ij->i", z, z)
         val = np.exp(-0.5 * quad) / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
     return float(val[0]) if single else val
 

@@ -1,6 +1,8 @@
 """Least-squares cross-validation bandwidth selection and grid KDE."""
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -13,8 +15,8 @@ from .errors import (
     ShapeMismatch,
     TooFewPoints,
 )
-from .fftconv import DEFAULT_TAU, CountsFftCache, convolve, convolve_direct, \
-    padded_size_full, padded_size_truncated
+from .fftconv import DEFAULT_TAU, convolve, convolve_direct, padded_size_full, \
+    padded_size_truncated
 from .functionals import eta_kernel_grid, kh_zero, psi_binned, psi_direct
 from .gaussian import eta_r
 from .linalg import BandwidthMatrix, SpdParam
@@ -50,13 +52,15 @@ class SelectorConfig:
         Objective evaluation strategy, one of ``SELECTOR_MODES``
         (default ``"fft-L"``).
     grid_size : int
-        Nodes per axis for the binned modes (default 150).
+        Nodes per axis for the binned modes (default 150), an integer
+        of at least 2.
     margin_fraction : float
-        Grid margin beyond the sample range (default 0.05).
+        Grid margin beyond the sample range (default 0.05), finite and
+        nonnegative.
     tau : float
         Kernel truncation radius for ``"fft-L"`` (default 3.7), in
         standard deviations of the wider kernel ``2H`` of the
-        objective.
+        objective; finite and positive.
     r : int
         Derivative order of the target functional (default 0, the
         density itself).
@@ -67,9 +71,16 @@ class SelectorConfig:
     min_points : int
         Smallest accepted sample size after deduplication (default 10).
     max_iter : int
-        Simplex iteration budget (default 2000).
+        Simplex iteration budget (default 2000), an integer of at least
+        0; at 0 only the starting simplex is evaluated.
     rel_tol : float
-        Relative convergence tolerance for the simplex (default 1e-7).
+        Relative convergence tolerance for the simplex (default 1e-7),
+        finite and positive.
+
+    Raises
+    ------
+    OutOfRange
+        If a field is outside the range stated above.
     """
 
     mode: str = "fft-L"
@@ -88,10 +99,26 @@ class SelectorConfig:
             raise OutOfRange(
                 f"unknown mode {self.mode!r}; expected one of {SELECTOR_MODES}"
             )
-        if self.grid_size < 2:
-            raise OutOfRange("grid_size must be at least 2")
+        if not _is_int(self.grid_size) or self.grid_size < 2:
+            raise OutOfRange(
+                f"grid_size must be an integer >= 2, got {self.grid_size!r}"
+            )
+        if not (math.isfinite(self.margin_fraction) and self.margin_fraction >= 0):
+            raise OutOfRange(
+                f"margin_fraction must be finite and >= 0, got {self.margin_fraction!r}"
+            )
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise OutOfRange(f"tau must be finite and > 0, got {self.tau!r}")
         if self.min_points < 2:
             raise OutOfRange("min_points must be at least 2")
+        if not _is_int(self.max_iter) or self.max_iter < 0:
+            raise OutOfRange(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise OutOfRange(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+
+
+def _is_int(value):
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -182,8 +209,7 @@ def normal_scale_start(x, diagonal=False):
 # objective
 # ---------------------------------------------------------------------------
 
-def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
-                   counts_fft_cache=None):
+def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     """Least-squares cross-validation objective for the order-``r`` target.
 
     Evaluates
@@ -212,8 +238,6 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
     form : str, optional
         Kernel route, ``"t"`` or ``"eta"``; both compute the same
         objective, orders above 0 always take the eta route.
-    counts_fft_cache : CountsFftCache, optional
-        Memoized counts transforms for the FFT modes.
 
     Returns
     -------
@@ -232,10 +256,7 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t",
         if not isinstance(data, GridCounts):
             raise ShapeMismatch("binned modes expect GridCounts")
         n = data.n
-        pair_part = psi_binned(
-            data, bw, r=r, mode=mode, tau=tau, form=form,
-            counts_fft_cache=counts_fft_cache,
-        )
+        pair_part = psi_binned(data, bw, r=r, mode=mode, tau=tau, form=form)
     if form == "t" and r == 0:
         at_zero = kh_zero(bw)
     else:
@@ -348,7 +369,9 @@ def select_bandwidth(x, config=None):
 
     Bins the sample once, then minimizes the binned LSCV objective over
     the log-Cholesky coordinates of the bandwidth with a Nelder-Mead
-    simplex started at the normal-scale bandwidth.
+    simplex started at the normal-scale bandwidth.  The FFT modes
+    transform the counts once, on the first evaluation; every later
+    evaluation is a kernel tabulation and a dot product.
 
     Parameters
     ----------
@@ -363,6 +386,8 @@ def select_bandwidth(x, config=None):
 
     Raises
     ------
+    OutOfRange
+        If the sample contains NaN or infinite values.
     TooFewPoints
         If fewer than ``config.min_points`` distinct points remain.
 
@@ -376,6 +401,8 @@ def select_bandwidth(x, config=None):
     """
     cfg = config or SelectorConfig()
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange("sample contains NaN or infinite values")
     if cfg.dedup:
         x = dedup(x)
     n, d = x.shape
@@ -384,11 +411,9 @@ def select_bandwidth(x, config=None):
 
     grid = None
     gc = None
-    cache = None
     if cfg.mode != "direct-exact":
         grid = make_grid(x, (cfg.grid_size,) * d, cfg.margin_fraction)
         gc = linear_binning(x, grid)
-        cache = CountsFftCache(gc.counts)
     data = x if cfg.mode == "direct-exact" else gc
 
     param = SpdParam(d, diagonal=cfg.diagonal)
@@ -397,10 +422,7 @@ def select_bandwidth(x, config=None):
     def objective(theta):
         try:
             h = BandwidthMatrix(param.decode(theta))
-            return lscv_objective(
-                data, h, r=cfg.r, mode=cfg.mode, tau=cfg.tau,
-                counts_fft_cache=cache,
-            )
+            return lscv_objective(data, h, r=cfg.r, mode=cfg.mode, tau=cfg.tau)
         except (FastbandError, np.linalg.LinAlgError, FloatingPointError):
             return np.inf
 

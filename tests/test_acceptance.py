@@ -353,7 +353,7 @@ def test_criterion_07_failure_trend_replication():
 # 8. Complexity contract
 # ---------------------------------------------------------------------------
 
-def _median_time(func, reps=3):
+def _median_time(func, reps=7):
     func()
     times = []
     for _ in range(reps):

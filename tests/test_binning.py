@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fastband.binning
 from fastband import (
     DegenerateAxis,
     GridSpec,
@@ -13,6 +14,7 @@ from fastband import (
     grid_points,
     linear_binning,
     make_grid,
+    psi_binned,
 )
 
 
@@ -105,6 +107,32 @@ def test_binning_rejects_outside_points():
     g = GridSpec(lo=[0.0], hi=[1.0], shape=(4,))
     with pytest.raises(OutOfRange):
         linear_binning([[1.5]], g)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binning_rejects_non_finite_points(bad):
+    g = GridSpec(lo=[0.0, 0.0], hi=[1.0, 1.0], shape=(4, 4))
+    with pytest.raises(OutOfRange):
+        linear_binning([[0.5, 0.5], [0.2, bad]], g)
+
+
+def test_autocorrelation_computed_once_per_grid_counts(rng, monkeypatch):
+    calls = []
+    real = fastband.binning.autocorrelate
+
+    def counting(counts):
+        calls.append(counts.shape)
+        return real(counts)
+
+    monkeypatch.setattr(fastband.binning, "autocorrelate", counting)
+    x = rng.standard_normal((100, 2))
+    gc = linear_binning(x, make_grid(x, (20, 20)))
+    for scale in (0.2, 0.5, 1.0):
+        for mode in ("fft-M", "fft-L"):
+            psi_binned(gc, scale * np.eye(2), mode=mode)
+    assert calls == [(20, 20)]
+    linear_binning(x, gc.grid).autocorrelation
+    assert len(calls) == 2
 
 
 def test_binning_matches_loop_oracle(rng):

@@ -118,6 +118,17 @@ def test_select_all_duplicates_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "AllDuplicates"
 
 
+def test_select_non_finite_sample_exits_2(capsys, tmp_path):
+    rng = np.random.default_rng(405)
+    x = rng.standard_normal((40, 2))
+    x[3, 0] = np.nan
+    p = tmp_path / "nan.csv"
+    np.savetxt(p, x, delimiter=",")
+    code, _, err = run_cli(capsys, "select", "--grid", "30", str(p))
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "OutOfRange"
+
+
 def test_select_writes_out_file(capsys, sample_csv, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from fastband import (
     CountsFftCache,
     OutOfRange,
     ShapeMismatch,
+    autocorrelate,
     convolve,
     convolve_direct,
     effective_halfwidths,
@@ -152,3 +154,24 @@ def test_counts_fft_cache_reuses_transforms(rng):
                       counts_fft=cache.get(padded))
     assert np.allclose(direct, cached, atol=1e-14)
     assert cache.get(padded) is cache.get(padded)
+
+
+# ---------------------------------------------------------------------------
+# autocorrelation
+# ---------------------------------------------------------------------------
+
+def test_autocorrelate_matches_flipped_convolution(rng):
+    for shape in [(7,), (8,), (6, 5), (4, 4, 3), (5, 6, 7)]:
+        counts = rng.random(shape)
+        ref = fftconvolve(counts, counts[(slice(None, None, -1),) * counts.ndim])
+        out = autocorrelate(counts)
+        assert out.shape == tuple(2 * m - 1 for m in shape)
+        assert np.allclose(out, ref, rtol=0.0, atol=1e-12 * ref.max())
+
+
+def test_autocorrelate_layout():
+    counts = np.array([1.0, 2.0, 0.0, 3.0])
+    out = autocorrelate(counts)
+    # A(j) = sum_i c_i c_{i+j}, zero offset at index M - 1 = 3.
+    expect = [3.0, 6.0, 2.0, 14.0, 2.0, 6.0, 3.0]
+    assert np.allclose(out, expect, atol=1e-12)

@@ -8,11 +8,13 @@ import pytest
 from fastband import (
     OutOfRange,
     build_kernel_grid,
+    convolve,
     cv_kernel,
     eta_kernel_grid,
     kh_zero,
     linear_binning,
     make_grid,
+    padded_size_full,
     psi_binned,
     psi_direct,
     q_r_binned,
@@ -142,6 +144,23 @@ def test_psi_binned_modes_agree(rng):
         full = psi_binned(gc, h, r=r, mode="fft-M")
         direct = psi_binned(gc, h, r=r, mode="direct-binned")
         assert full == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(1, 41), (1, 40), (2, 25), (2, 24), (3, 9), (3, 10)])
+def test_psi_binned_autocorrelation_route_matches_convolution(rng, d, m):
+    # The FFT modes read the cached autocorrelation; the reference here
+    # is n^-2 sum c (c * k) from an explicit FFT convolution.
+    x = rng.standard_normal((120, d))
+    gc = linear_binning(x, make_grid(x, (m,) * d))
+    h = random_spd(rng, d, scale=0.3)
+    counts = gc.counts
+    for mode in ("fft-M", "fft-L"):
+        for r in (0, 2):
+            kernel = build_kernel_grid(gc.grid, h, r=r, mode=mode, tau=2.0)
+            conv = convolve(counts, kernel, padded_shape=padded_size_full(counts.shape))
+            ref = np.sum(counts * conv) / gc.n**2
+            got = psi_binned(gc, h, r=r, mode=mode, tau=2.0)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_psi_binned_approaches_exact_with_refinement(rng):

@@ -85,6 +85,36 @@ def test_normal_pdf_matches_scipy(rng):
         assert np.allclose(ours, ref, rtol=1e-12)
 
 
+def test_normal_pdf_matches_scipy_at_condition_1e8(rng):
+    # Ill-conditioning from axis scales, as with coordinates in unrelated
+    # units, leaves the density well determined to rounding.
+    scales = np.diag([1.0, 1e-4])
+    sigma = scales @ np.array([[1.0, 0.6], [0.6, 1.0]]) @ scales
+    assert np.linalg.cond(sigma) > 1e8
+    x = rng.multivariate_normal(np.zeros(2), sigma, size=200)
+    ref = multivariate_normal(mean=np.zeros(2), cov=sigma).pdf(x)
+    assert np.allclose(normal_pdf(x, sigma), ref, rtol=1e-12, atol=0.0)
+
+
+def test_normal_pdf_rotated_ill_conditioning_within_rounding_bound(rng):
+    # A rotated sigma with condition 1e8 is known only to about
+    # cond * eps relative in its small eigenvalue, so in any route the
+    # determinant carries a relative error of order cond * eps and the
+    # quadratic form q one of order cond * eps * q.  Allow ten times the
+    # density error that follows.
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    sigma = rot @ np.diag([1.0, 1e-8]) @ rot.T
+    sigma = 0.5 * (sigma + sigma.T)
+    cond = np.linalg.cond(sigma)
+    x = rng.multivariate_normal(np.zeros(2), sigma, size=200)
+    dist = multivariate_normal(mean=np.zeros(2), cov=sigma)
+    ref = dist.pdf(x)
+    quad = -2.0 * (dist.logpdf(x) - dist.logpdf(np.zeros(2)))
+    bound = 10.0 * cond * np.finfo(float).eps * (1.0 + 0.5 * quad)
+    assert np.all(np.abs(normal_pdf(x, sigma) / ref - 1.0) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from fastband import (
     AllDuplicates,
+    OutOfRange,
     SelectorConfig,
     TooFewPoints,
     dedup,
@@ -173,6 +174,34 @@ def test_select_bandwidth_diagonal_constraint(rng):
 def test_select_bandwidth_too_few_points(rng):
     with pytest.raises(TooFewPoints):
         select_bandwidth(rng.standard_normal((5, 2)))
+
+
+@pytest.mark.parametrize("mode", ["fft-L", "direct-exact"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_select_bandwidth_rejects_non_finite_sample(rng, mode, bad):
+    x = rng.standard_normal((50, 2))
+    x[7, 1] = bad
+    with pytest.raises(OutOfRange):
+        select_bandwidth(x, SelectorConfig(mode=mode, grid_size=30))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", 0.0), ("tau", -1.0), ("tau", np.inf), ("tau", np.nan),
+    ("grid_size", 50.5), ("grid_size", 1), ("grid_size", True),
+    ("margin_fraction", -0.1), ("margin_fraction", np.nan),
+    ("max_iter", -1), ("max_iter", 10.0),
+    ("rel_tol", 0.0), ("rel_tol", -1e-7), ("rel_tol", np.nan),
+])
+def test_selector_config_rejects_bad_fields(field, value):
+    with pytest.raises(OutOfRange):
+        SelectorConfig(**{field: value})
+
+
+def test_selector_config_accepts_edge_values():
+    cfg = SelectorConfig(
+        grid_size=np.int64(2), margin_fraction=0.0, max_iter=0, tau=1e-3
+    )
+    assert cfg.max_iter == 0
 
 
 def test_select_bandwidth_dedups_duplicates(rng):
