@@ -33,8 +33,6 @@ from .fftconv import (
     effective_halfwidths,
     padded_size_full,
     padded_size_truncated,
-    zero_pad_counts,
-    zero_pad_kernel,
 )
 from .functionals import (
     PSI_MODES,
@@ -58,6 +56,7 @@ from .gaussian import (
 from .linalg import (
     BandwidthMatrix,
     SpdParam,
+    as_bandwidth,
     cholesky,
     kron_power,
     largest_eigenvalue,
@@ -106,6 +105,7 @@ __all__ = [
     "vec",
     "kron_power",
     "BandwidthMatrix",
+    "as_bandwidth",
     "SpdParam",
     # grids and binning
     "GridSpec",
@@ -124,8 +124,6 @@ __all__ = [
     "effective_halfwidths",
     "padded_size_full",
     "padded_size_truncated",
-    "zero_pad_counts",
-    "zero_pad_kernel",
     "convolve",
     "convolve_direct",
     "autocorrelate",

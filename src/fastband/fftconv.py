@@ -12,8 +12,6 @@ __all__ = [
     "effective_halfwidths",
     "padded_size_full",
     "padded_size_truncated",
-    "zero_pad_counts",
-    "zero_pad_kernel",
     "convolve",
     "convolve_direct",
     "autocorrelate",
@@ -100,43 +98,6 @@ def padded_size_truncated(shape, halfwidths):
 
 
 # ---------------------------------------------------------------------------
-# padding
-# ---------------------------------------------------------------------------
-
-def _check_padded(data_shape, padded_shape):
-    if len(padded_shape) != len(data_shape):
-        raise ShapeMismatch("padded shape has wrong dimension")
-    for p, m in zip(padded_shape, data_shape):
-        if p < m:
-            raise OutOfRange(f"padded size {p} smaller than data size {m}")
-
-
-def zero_pad_counts(counts, padded_shape):
-    """Embed the counts array at the origin of a zero block."""
-    counts = np.asarray(counts, dtype=float)
-    _check_padded(counts.shape, padded_shape)
-    out = np.zeros(padded_shape)
-    out[tuple(slice(0, m) for m in counts.shape)] = counts
-    return out
-
-
-def zero_pad_kernel(kernel, padded_shape):
-    """Embed a kernel grid at the origin of a zero block.
-
-    The kernel array covers offsets ``-L_k .. L_k`` per axis, so its
-    first entry is the most negative offset and the zero offset sits at
-    index ``L_k``.  Padding preserves that layout.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    if any(s % 2 == 0 for s in kernel.shape):
-        raise ShapeMismatch("kernel axes must have odd length 2L + 1")
-    _check_padded(kernel.shape, padded_shape)
-    out = np.zeros(padded_shape)
-    out[tuple(slice(0, s) for s in kernel.shape)] = kernel
-    return out
-
-
-# ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
@@ -144,14 +105,24 @@ def _halfwidths_of(kernel):
     return tuple((s - 1) // 2 for s in kernel.shape)
 
 
+def _check_padded(padded_shape, data_shape, halfwidths):
+    """Reject FFT shapes too small for the window; ``padded_k >= M_k + L_k``."""
+    if len(padded_shape) != len(data_shape):
+        raise ShapeMismatch("padded shape has wrong dimension")
+    for p, m, l in zip(padded_shape, data_shape, halfwidths):
+        if p < m + l:
+            raise OutOfRange(f"padded size {p} smaller than {m} + {l}")
+
+
 def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     """Linear convolution of counts with a kernel grid, via circular FFT.
 
     Computes ``s_j = sum_i counts_i kernel_{j - i}`` for every grid node
     ``j``, with counts treated as zero outside the grid.  Both arrays
-    are zero-padded to a common power-of-two shape, multiplied in the
-    frequency domain with real-input transforms, and the valid window
-    is extracted at offset ``L_k`` per axis.
+    are zero-padded to a common shape by the real transforms, multiplied
+    in the frequency domain, and the valid window is extracted at
+    offset ``L_k`` per axis.  The circular wrap misses that window
+    exactly when ``padded_k >= M_k + L_k``.
 
     Parameters
     ----------
@@ -160,7 +131,8 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     kernel : ndarray
         Kernel grid over offsets ``-L .. L`` per axis, shape ``2L + 1``.
     padded_shape : tuple of int, optional
-        FFT shape; defaults to ``padded_size_truncated``.
+        FFT shape, at least ``M + L`` per axis; defaults to
+        ``padded_size_truncated``.
     counts_fft : ndarray, optional
         Precomputed real transform (``rfftn``) of the zero-padded counts
         at ``padded_shape``, as returned by :class:`CountsFftCache`.
@@ -169,17 +141,24 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
     -------
     ndarray
         Convolution values on the original grid, shape ``M``.
+
+    A rank mismatch or an even kernel axis raises ``ShapeMismatch``, a
+    ``padded_shape`` below ``M + L`` on some axis ``OutOfRange``.
     """
     counts = np.asarray(counts, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     if counts.ndim != kernel.ndim:
         raise ShapeMismatch("counts and kernel must have equal rank")
+    if any(s % 2 == 0 for s in kernel.shape):
+        raise ShapeMismatch("kernel axes must have odd length 2L + 1")
     halfwidths = _halfwidths_of(kernel)
     if padded_shape is None:
-        padded_shape = padded_size_truncated(counts.shape, halfwidths)
+        # Sizing a one-point kernel as L = 1 keeps M + L within the pad.
+        padded_shape = padded_size_truncated(counts.shape, [max(1, l) for l in halfwidths])
+    _check_padded(padded_shape, counts.shape, halfwidths)
     if counts_fft is None:
-        counts_fft = sfft.rfftn(zero_pad_counts(counts, padded_shape))
-    kernel_fft = sfft.rfftn(zero_pad_kernel(kernel, padded_shape))
+        counts_fft = sfft.rfftn(counts, s=padded_shape)
+    kernel_fft = sfft.rfftn(kernel, s=padded_shape)
     full = sfft.irfftn(counts_fft * kernel_fft, s=padded_shape)
     window = tuple(
         slice(l, l + m) for l, m in zip(halfwidths, counts.shape)
@@ -257,8 +236,9 @@ class CountsFftCache:
         self._cache = {}
 
     def get(self, padded_shape):
-        """``rfftn`` of the zero-padded counts at ``padded_shape``."""
+        """``rfftn`` of the zero-padded counts at ``padded_shape``, at least ``M``."""
         key = tuple(int(p) for p in padded_shape)
         if key not in self._cache:
-            self._cache[key] = sfft.rfftn(zero_pad_counts(self.counts, key))
+            _check_padded(key, self.counts.shape, (0,) * self.counts.ndim)
+            self._cache[key] = sfft.rfftn(self.counts, s=key)
         return self._cache[key]

@@ -4,10 +4,11 @@ import numpy as np
 
 from .binning import GridCounts
 from .errors import OutOfRange, ShapeMismatch
-# ``convolve`` is unused here; perfbench/tracing.py patches it by this name.
+# ``convolve`` and ``normal_pdf`` are unused here; perfbench/tracing.py
+# patches them by these names.
 from .fftconv import DEFAULT_TAU, convolve, convolve_direct, effective_halfwidths
-from .gaussian import eta_r, normal_pdf
-from .linalg import BandwidthMatrix
+from .gaussian import _as_points, _peak, _whitened_sq, eta_r, normal_pdf
+from .linalg import as_bandwidth
 
 __all__ = [
     "PSI_MODES",
@@ -29,16 +30,18 @@ PSI_MODES = ("direct-binned", "fft-M", "fft-L")
 _PAIR_BUDGET = 1 << 21
 
 
-def _as_bandwidth(h):
-    return h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
 def t_h(u, h):
     """Cross-validation kernel ``K_{2H}(u) - 2 K_H(u)``.
+
+    Computed with one whitening and one exponential.  With
+    ``q = u^T H^-1 u`` and ``(2H)^-1 = H^-1 / 2``, both Gaussians are
+    powers of ``e = exp(-q / 4)``:
+    ``T_H(u) = K_H(0) e (2^{-d/2} - 2 e)``.  No matrix is formed or
+    factored for ``2H``.
 
     Parameters
     ----------
@@ -51,24 +54,28 @@ def t_h(u, h):
     -------
     (n,) ndarray, or float for a single point.
     """
-    bw = _as_bandwidth(h)
-    return normal_pdf(u, 2.0 * bw.h) - 2.0 * normal_pdf(u, bw.h)
+    bw = as_bandwidth(h)
+    u, single = _as_points(u, bw.d)
+    # An overflowing quadratic form gives e = 0, the kernel's limit.
+    with np.errstate(over="ignore"):
+        e = np.exp(-0.25 * _whitened_sq(u, bw))
+    val = _peak(bw) * e * (2.0 ** (-bw.d / 2) - 2.0 * e)
+    return float(val[0]) if single else val
 
 
 def kh_zero(h):
     """Gaussian kernel height at the origin, ``(2 pi)^{-d/2} det(H)^{-1/2}``."""
-    bw = _as_bandwidth(h)
-    return 1.0 / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
+    return _peak(as_bandwidth(h))
 
 
 def cv_kernel(u, h, r=0, form="t"):
     """Order-``r`` cross-validation kernel ``eta_r(u; 2H) - 2 eta_r(u; H)``.
 
     For ``r == 0`` this equals :func:`t_h`.  The ``form`` switch picks
-    the computation route: ``"t"`` goes through plain density
-    evaluations and only exists at ``r == 0``; ``"eta"`` goes through
-    the derivative engine and works at every order.  Both routes
-    implement the same function.
+    the computation route: ``"t"`` goes through the closed form of
+    :func:`t_h` and only exists at ``r == 0``; ``"eta"`` goes through
+    the derivative engine, with ``2H`` from ``BandwidthMatrix.scaled``,
+    and works at every order.  Both routes implement the same function.
     """
     if form == "t":
         if r != 0:
@@ -76,25 +83,30 @@ def cv_kernel(u, h, r=0, form="t"):
         return t_h(u, h)
     if form != "eta":
         raise OutOfRange(f"unknown kernel form {form!r}")
-    bw = _as_bandwidth(h)
-    return eta_r(u, 2.0 * bw.h, r) - 2.0 * eta_r(u, bw.h, r)
+    bw = as_bandwidth(h)
+    return eta_r(u, bw.scaled(2.0), r) - 2.0 * eta_r(u, bw, r)
 
 
 # ---------------------------------------------------------------------------
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _offset_points(delta, halfwidths):
-    """Grid offsets ``delta * j`` for ``j`` in the box ``[-L, L]^d``."""
-    axes = [dk * np.arange(-lk, lk + 1) for dk, lk in zip(delta, halfwidths)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(delta))
+def _tabulate(func, grid, lambda_max, mode, tau):
+    """Evaluate ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
 
-
-def _support_halfwidths(grid, lambda_max, mode, tau):
+    ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
+    box from ``lambda_max``, the largest eigenvalue of the widest
+    Gaussian tabulated (see :func:`effective_halfwidths`).
+    """
+    if mode not in PSI_MODES:
+        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
     if mode == "fft-L":
-        return effective_halfwidths(lambda_max, grid.delta, grid.shape, tau)
-    return tuple(m - 1 for m in grid.shape)
+        halfwidths = effective_halfwidths(lambda_max, grid.delta, grid.shape, tau)
+    else:
+        halfwidths = tuple(m - 1 for m in grid.shape)
+    axes = [dk * np.arange(-lk, lk + 1) for dk, lk in zip(grid.delta, halfwidths)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return np.asarray(func(pts)).reshape(tuple(2 * l + 1 for l in halfwidths))
 
 
 def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
@@ -115,26 +127,17 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
     -------
     ndarray of shape ``(2 L_1 + 1, ..., 2 L_d + 1)``.
     """
-    if mode not in PSI_MODES:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
-    bw = _as_bandwidth(h)
+    bw = as_bandwidth(h)
     if form == "t" and r != 0:
         form = "eta"
-    halfwidths = _support_halfwidths(grid, 2.0 * bw.lambda_max, mode, tau)
-    pts = _offset_points(grid.delta, halfwidths)
-    vals = cv_kernel(pts, bw, r=r, form=form)
-    return np.asarray(vals).reshape(tuple(2 * l + 1 for l in halfwidths))
+    return _tabulate(lambda u: cv_kernel(u, bw, r=r, form=form),
+                     grid, 2.0 * bw.lambda_max, mode, tau)
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
     """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above."""
-    if mode not in PSI_MODES:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
-    bw = _as_bandwidth(sigma)
-    halfwidths = _support_halfwidths(grid, bw.lambda_max, mode, tau)
-    pts = _offset_points(grid.delta, halfwidths)
-    vals = eta_r(pts, bw, r)
-    return np.asarray(vals).reshape(tuple(2 * l + 1 for l in halfwidths))
+    bw = as_bandwidth(sigma)
+    return _tabulate(lambda u: eta_r(u, bw, r), grid, bw.lambda_max, mode, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +238,7 @@ def _pairwise_vstat(x, func):
 
 def psi_direct(x, h, r=0, form="t"):
     """Exact pairwise double sum of the order-``r`` CV kernel."""
-    bw = _as_bandwidth(h)
+    bw = as_bandwidth(h)
     if form == "t" and r != 0:
         form = "eta"
     return _pairwise_vstat(x, lambda u: cv_kernel(u, bw, r=r, form=form))
@@ -243,5 +246,5 @@ def psi_direct(x, h, r=0, form="t"):
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``."""
-    bw = _as_bandwidth(sigma)
+    bw = as_bandwidth(sigma)
     return _pairwise_vstat(x, lambda u: eta_r(u, bw, r))

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch
-from .linalg import BandwidthMatrix, kron_power, vec
+from .linalg import as_bandwidth, kron_power, vec
 
 __all__ = [
     "MAX_FUNCTIONAL_ORDER",
@@ -31,8 +31,19 @@ def _as_points(x, d=None):
     return x, single
 
 
-def _as_bandwidth(sigma):
-    return sigma if isinstance(sigma, BandwidthMatrix) else BandwidthMatrix(sigma)
+def _whitened_sq(x, bw):
+    """Quadratic form ``x^T H^-1 x = |L^-1 x|^2`` per row, ``L = bw.chol``.
+
+    Whitening by ``L^-1`` rather than multiplying by ``H^-1`` keeps the
+    accuracy of a triangular solve when ``H`` is ill-conditioned.
+    """
+    z = x @ np.linalg.inv(bw.chol.T)
+    return np.einsum("ij,ij->i", z, z)
+
+
+def _peak(bw):
+    """Gaussian density at the origin, ``(2 pi)^{-d/2} det(H)^{-1/2}``."""
+    return 1.0 / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +64,12 @@ def normal_pdf(x, sigma):
     -------
     (n,) ndarray, or float for a single point.
     """
-    bw = _as_bandwidth(sigma)
+    bw = as_bandwidth(sigma)
     x, single = _as_points(x, bw.d)
-    # Whitening by the inverse Cholesky factor, rather than multiplying
-    # by the inverse of sigma, keeps the accuracy of a triangular solve
-    # when sigma is ill-conditioned along a rotated axis.
-    z = x @ np.linalg.inv(bw.chol.T)
     # A near-singular covariance sends the quadratic form to inf; the
     # density limit is 0 there, so the overflow is benign.
     with np.errstate(over="ignore"):
-        quad = np.einsum("ij,ij->i", z, z)
-        val = np.exp(-0.5 * quad) / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
+        val = _peak(bw) * np.exp(-0.5 * _whitened_sq(x, bw))
     return float(val[0]) if single else val
 
 
@@ -96,14 +102,14 @@ def gaussian_derivative_vector(x, sigma, order):
     order = int(order)
     if not 0 <= order <= 2 * MAX_FUNCTIONAL_ORDER:
         raise OutOfRange(f"derivative order {order} outside [0, {2 * MAX_FUNCTIONAL_ORDER}]")
-    bw = _as_bandwidth(sigma)
+    bw = as_bandwidth(sigma)
     x, _ = _as_points(x, bw.d)
     n, d = x.shape
 
     u = x @ bw.inv
-    quad = np.einsum("ij,ij->i", u, x)
     g_prev2 = None
-    g_prev = np.exp(-0.5 * quad) / ((2.0 * np.pi) ** (d / 2) * np.sqrt(bw.det))
+    with np.errstate(over="ignore"):
+        g_prev = _peak(bw) * np.exp(-0.5 * _whitened_sq(x, bw))
     if order == 0:
         return g_prev
 
@@ -154,7 +160,7 @@ def eta_rs(x, sigma, r, s, a, b=None):
         raise OutOfRange(f"functional order r + s = {r + s} outside [0, {MAX_FUNCTIONAL_ORDER}]")
     if s > 0 and b is None:
         raise ShapeMismatch("b is required when s > 0")
-    bw = _as_bandwidth(sigma)
+    bw = as_bandwidth(sigma)
     x, single = _as_points(x, bw.d)
     n, d = x.shape
     order = 2 * (r + s)
@@ -174,5 +180,5 @@ def eta_rs(x, sigma, r, s, a, b=None):
 
 def eta_r(x, sigma, r):
     """Iterated-Laplacian functional, ``eta_rs`` with identity weights."""
-    bw = _as_bandwidth(sigma)
+    bw = as_bandwidth(sigma)
     return eta_rs(x, bw, r, 0, np.eye(bw.d))

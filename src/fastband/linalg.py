@@ -10,6 +10,7 @@ __all__ = [
     "vec",
     "kron_power",
     "BandwidthMatrix",
+    "as_bandwidth",
     "SpdParam",
 ]
 
@@ -20,6 +21,12 @@ _DET_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 # free functions
 # ---------------------------------------------------------------------------
+
+def _usable_det(det):
+    if not np.isfinite(det) or det < _DET_FLOOR:
+        raise SingularBandwidth(f"determinant {det} is not usable")
+    return det
+
 
 def _as_square(m):
     """Validate and return ``m`` as a float square matrix."""
@@ -121,19 +128,36 @@ class BandwidthMatrix:
         self.h = h.copy()
         self.d = h.shape[0]
         self.chol = cholesky(h)
-        diag = np.diag(self.chol)
-        self.det = float(np.prod(diag) ** 2)
-        if not np.isfinite(self.det) or self.det < _DET_FLOOR:
-            raise SingularBandwidth(f"determinant {self.det} is not usable")
+        self.det = _usable_det(float(np.prod(np.diag(self.chol)) ** 2))
         self.inv = np.linalg.inv(h)
         self.lambda_max = largest_eigenvalue(h)
 
     def scaled(self, factor):
-        """Return a new BandwidthMatrix equal to ``factor * h``."""
-        return BandwidthMatrix(float(factor) * self.h)
+        """Return a new BandwidthMatrix equal to ``factor * h``, without refactoring.
+
+        The cached factors are rescaled: ``chol`` by ``sqrt(factor)``,
+        ``det`` by ``factor^d``, ``inv`` by ``1 / factor`` and
+        ``lambda_max`` by ``factor``.  So every ``h`` the constructor
+        accepted scales, even where a Cholesky of the rounded ``2 h``
+        would fail.  A factor that is not positive raises
+        ``NotPositiveDefinite``.
+        """
+        factor = float(factor)
+        if not factor > 0.0:
+            raise NotPositiveDefinite(f"scale factor {factor} is not positive")
+        out = object.__new__(BandwidthMatrix)
+        out.det = _usable_det(self.det * factor ** self.d)
+        out.h, out.d, out.chol = factor * self.h, self.d, np.sqrt(factor) * self.chol
+        out.inv, out.lambda_max = self.inv / factor, factor * self.lambda_max
+        return out
 
     def __repr__(self):
         return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
+
+
+def as_bandwidth(h):
+    """Return ``h`` if it is a BandwidthMatrix, else validate it into one."""
+    return h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +193,7 @@ class SpdParam:
 
     def encode(self, h):
         """Map an SPD matrix to its coordinate vector."""
-        bw = h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
+        bw = as_bandwidth(h)
         if bw.d != self.d:
             raise ShapeMismatch(f"expected dimension {self.d}, got {bw.d}")
         ell = bw.chol

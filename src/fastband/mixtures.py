@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, ParseError, ShapeMismatch, UnknownModel
+from .functionals import _pairwise_vstat
 from .gaussian import normal_pdf
-from .linalg import BandwidthMatrix, cholesky
+from .linalg import as_bandwidth, cholesky
 
 __all__ = [
     "NormalMixture",
@@ -18,10 +19,6 @@ __all__ = [
     "catalog_names",
     "load_mixture",
 ]
-
-# Pairwise chunk budget for the n^2 term of the exact ISE.
-_PAIR_BUDGET = 1 << 21
-
 
 # ---------------------------------------------------------------------------
 # the mixture type
@@ -164,20 +161,14 @@ def exact_ise(x, h, mix):
     float
         Nonnegative up to a tiny numerical floor.
     """
-    bw = h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
+    bw = as_bandwidth(h)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
     if d != mix.d or bw.d != d:
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")
 
-    two_h = 2.0 * bw.h
-    chunk = max(1, _PAIR_BUDGET // max(1, n))
-    fhat_sq = 0.0
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diffs = x[start:stop, None, :] - x[None, :, :]
-        fhat_sq += float(np.sum(normal_pdf(diffs.reshape(-1, d), two_h)))
-    fhat_sq /= n * n
+    two_h = bw.scaled(2.0)
+    fhat_sq = _pairwise_vstat(x, lambda u: normal_pdf(u, two_h))
 
     cross = 0.0
     for w, mu, sig in zip(mix.weights, mix.means, mix.covs):

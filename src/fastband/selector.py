@@ -15,11 +15,10 @@ from .errors import (
     ShapeMismatch,
     TooFewPoints,
 )
-from .fftconv import DEFAULT_TAU, convolve, convolve_direct, padded_size_full, \
-    padded_size_truncated
+from .fftconv import DEFAULT_TAU, convolve, convolve_direct
 from .functionals import eta_kernel_grid, kh_zero, psi_binned, psi_direct
 from .gaussian import eta_r
-from .linalg import BandwidthMatrix, SpdParam
+from .linalg import BandwidthMatrix, SpdParam, as_bandwidth
 
 __all__ = [
     "SELECTOR_MODES",
@@ -245,7 +244,7 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     """
     if mode not in SELECTOR_MODES:
         raise OutOfRange(f"unknown mode {mode!r}; expected one of {SELECTOR_MODES}")
-    bw = h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
+    bw = as_bandwidth(h)
     if mode == "direct-exact":
         if isinstance(data, GridCounts):
             raise ShapeMismatch("direct-exact mode expects the raw sample")
@@ -375,8 +374,9 @@ def select_bandwidth(x, config=None):
 
     Parameters
     ----------
-    x : (n, d) array_like
-        Sample points.
+    x : (n, d) or (n,) array_like
+        Sample points; a 1-d array is read as ``n`` points in one
+        dimension.
     config : SelectorConfig, optional
         Selection knobs; defaults are sensible for moderate samples.
 
@@ -400,7 +400,8 @@ def select_bandwidth(x, config=None):
     (2, 2)
     """
     cfg = config or SelectorConfig()
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(-1, 1) if x.ndim == 1 else np.atleast_2d(x)
     if not np.all(np.isfinite(x)):
         raise OutOfRange("sample contains NaN or infinite values")
     if cfg.dedup:
@@ -473,10 +474,5 @@ def kde_on_grid(gc, h, mode="fft-L", tau=DEFAULT_TAU):
     if mode == "direct-binned":
         conv = convolve_direct(gc.counts, kernel)
     else:
-        halfwidths = tuple((s - 1) // 2 for s in kernel.shape)
-        if mode == "fft-M":
-            padded = padded_size_full(gc.counts.shape)
-        else:
-            padded = padded_size_truncated(gc.counts.shape, halfwidths)
-        conv = convolve(gc.counts, kernel, padded_shape=padded)
+        conv = convolve(gc.counts, kernel)
     return conv / gc.n

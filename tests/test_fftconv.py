@@ -14,8 +14,6 @@ from fastband import (
     effective_halfwidths,
     padded_size_full,
     padded_size_truncated,
-    zero_pad_counts,
-    zero_pad_kernel,
 )
 
 
@@ -83,29 +81,6 @@ def test_padded_sizes_are_sufficient_powers_of_two(rng):
 
 
 # ---------------------------------------------------------------------------
-# padding layout
-# ---------------------------------------------------------------------------
-
-def test_zero_pad_kernel_layout():
-    kernel = np.arange(1.0, 6.0)
-    padded = zero_pad_kernel(kernel, (8,))
-    assert padded.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 0.0, 0.0]
-    assert padded[2] == kernel[2]
-
-
-def test_zero_pad_kernel_rejects_even_axes():
-    with pytest.raises(ShapeMismatch):
-        zero_pad_kernel(np.ones(4), (8,))
-
-
-def test_zero_pad_counts_layout():
-    counts = np.ones((2, 3))
-    padded = zero_pad_counts(counts, (4, 4))
-    assert padded[:2, :3].sum() == 6.0
-    assert padded.sum() == 6.0
-
-
-# ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
 
@@ -126,6 +101,35 @@ def test_convolve_matches_loop_oracle(rng):
         ref = convolution_oracle(counts, kernel)
         assert np.allclose(convolve(counts, kernel), ref, atol=1e-12)
         assert np.allclose(convolve_direct(counts, kernel), ref, atol=1e-12)
+
+
+def test_convolve_rejects_even_kernel_axes():
+    with pytest.raises(ShapeMismatch):
+        convolve(np.ones(9), np.ones(4))
+
+
+def test_convolve_rejects_padded_shape_below_m_plus_l(rng):
+    # M = 10, L = 4: a wrap reaches the window below 14 points per axis.
+    counts = rng.random(10)
+    kernel = rng.standard_normal(9)
+    for padded in [(13,), (10,)]:
+        with pytest.raises(OutOfRange):
+            convolve(counts, kernel, padded_shape=padded)
+    with pytest.raises(ShapeMismatch):
+        convolve(counts, kernel, padded_shape=(14, 14))
+    exact = convolve(counts, kernel, padded_shape=(14,))
+    assert np.allclose(exact, convolve_direct(counts, kernel), atol=1e-12)
+    cache = CountsFftCache(counts)
+    with pytest.raises(OutOfRange):
+        cache.get((9,))
+    with pytest.raises(OutOfRange):
+        convolve(counts, kernel, padded_shape=(13,), counts_fft=cache.get((13,)))
+
+
+def test_convolve_default_padding_fits_one_point_kernel():
+    counts = np.arange(1.0, 10.0)
+    out = convolve(counts, np.array([2.0]))
+    assert np.allclose(out, 2.0 * counts, atol=1e-12)
 
 
 def test_convolve_full_width_kernel(rng):

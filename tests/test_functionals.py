@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from fastband import (
+    BandwidthMatrix,
     OutOfRange,
     build_kernel_grid,
     convolve,
     cv_kernel,
     eta_kernel_grid,
+    exact_ise,
     kh_zero,
     linear_binning,
     make_grid,
+    mixture_catalog,
     padded_size_full,
     psi_binned,
     psi_direct,
     q_r_binned,
     q_r_exact,
+    sample_mixture,
     t_h,
 )
 
@@ -63,6 +68,57 @@ def test_t_h_matches_first_principles(rng):
     u = rng.standard_normal(2)
     expect = gauss_pdf_oracle(u, 2 * h) - 2 * gauss_pdf_oracle(u, h)
     assert t_h(u, h) == pytest.approx(expect, rel=1e-12)
+
+
+def _t_h_scipy(u, h):
+    """``K_2H`` and ``K_H`` at ``u`` from scipy."""
+    mean = np.zeros(h.shape[0])
+    k2 = multivariate_normal(mean=mean, cov=2.0 * h).pdf(u)
+    k1 = multivariate_normal(mean=mean, cov=h).pdf(u)
+    return k2, k1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_h_matches_scipy(rng, d):
+    # T_H changes sign, so the error is measured against the size of
+    # its two terms, K_2H + 2 K_H.
+    h = random_spd(rng, d, scale=rng.uniform(0.05, 2.0))
+    u = rng.standard_normal((60, d))
+    k2, k1 = _t_h_scipy(u, h)
+    assert np.all(np.abs(t_h(u, h) - (k2 - 2.0 * k1)) <= 1e-12 * (k2 + 2.0 * k1))
+
+
+def test_t_h_rotated_ill_conditioning_within_rounding_bound(rng):
+    # Each term obeys the normal_pdf bound for a rotated condition-1e8
+    # matrix, 10 cond eps (1 + q / 2) relative with q its quadratic form.
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    h = rot @ np.diag([1.0, 1e-8]) @ rot.T
+    h = 0.5 * (h + h.T)
+    cond = np.linalg.cond(h)
+    u = rng.multivariate_normal(np.zeros(2), h, size=200)
+    k2, k1 = _t_h_scipy(u, h)
+    dist = multivariate_normal(mean=np.zeros(2), cov=h)
+    quad = -2.0 * (dist.logpdf(u) - dist.logpdf(np.zeros(2)))
+    tol = 10.0 * cond * np.finfo(float).eps
+    bound = tol * (1.0 + 0.25 * quad) * k2 + tol * (1.0 + 0.5 * quad) * 2.0 * k1
+    assert np.all(np.abs(t_h(u, h) - (k2 - 2.0 * k1)) <= bound)
+
+
+def test_edge_bandwidth_accepted_by_every_2h_consumer():
+    # Valid, but a fresh Cholesky of the rounded 2H fails on it.
+    h = np.array([
+        [6.19747244582656e-08, 1.1168038847478099e-04],
+        [1.1168038847478099e-04, 0.2012515469637482],
+    ])
+    bw = BandwidthMatrix(h)
+    mix = mixture_catalog("fragile")
+    x = sample_mixture(mix, 40, np.random.default_rng(0))
+    u = np.array([[0.0, 0.0], [1e-4, 0.3]])
+    assert np.isfinite(bw.scaled(2.0).det)
+    assert np.all(np.isfinite(t_h(u, bw)))
+    assert np.allclose(cv_kernel(u, bw, form="eta"), t_h(u, bw), rtol=1e-10)
+    assert np.isfinite(exact_ise(x, bw, mix))
 
 
 def test_kh_zero_examples():

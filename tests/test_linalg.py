@@ -11,6 +11,7 @@ from fastband import (
     ShapeMismatch,
     SingularBandwidth,
     SpdParam,
+    as_bandwidth,
     cholesky,
     kron_power,
     largest_eigenvalue,
@@ -159,6 +160,44 @@ def test_bandwidth_matrix_scaled():
     bw = BandwidthMatrix(np.eye(2)).scaled(4.0)
     assert np.allclose(bw.h, 4.0 * np.eye(2))
     assert bw.det == pytest.approx(16.0)
+
+
+def _rel(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("factor", [0.25, 2.0, 3.7])
+def test_bandwidth_matrix_scaled_matches_fresh_factorization(rng, d, factor):
+    bw = BandwidthMatrix(random_spd(rng, d))
+    fresh = BandwidthMatrix(factor * bw.h)
+    out = bw.scaled(factor)
+    assert isinstance(out, BandwidthMatrix) and out.d == d
+    for name in ("h", "chol", "det", "inv", "lambda_max"):
+        assert _rel(getattr(out, name), getattr(fresh, name)) <= 1e-14, name
+
+
+def test_as_bandwidth_keeps_an_existing_matrix():
+    bw = BandwidthMatrix(np.eye(2))
+    assert as_bandwidth(bw) is bw
+    assert np.array_equal(as_bandwidth(np.eye(2)).h, np.eye(2))
+    with pytest.raises(NotPositiveDefinite):
+        as_bandwidth(-np.eye(2))
+
+
+def test_bandwidth_matrix_scaled_does_not_refactor(monkeypatch):
+    bw = BandwidthMatrix(np.eye(2))
+    monkeypatch.setattr(BandwidthMatrix, "__init__", None)
+    assert bw.scaled(2.0).det == pytest.approx(4.0)
+
+
+def test_bandwidth_matrix_scaled_rejects_bad_factors():
+    bw = BandwidthMatrix(np.eye(2))
+    for factor in (0.0, -1.0, np.nan):
+        with pytest.raises(NotPositiveDefinite):
+            bw.scaled(factor)
+    with pytest.raises(SingularBandwidth):
+        bw.scaled(1e-160)
 
 
 # ---------------------------------------------------------------------------

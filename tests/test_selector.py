@@ -7,7 +7,9 @@ import pytest
 from scipy.optimize import minimize
 
 from fastband import (
+    SELECTOR_MODES,
     AllDuplicates,
+    BandwidthMatrix,
     OutOfRange,
     SelectorConfig,
     TooFewPoints,
@@ -92,6 +94,24 @@ def test_lscv_binned_tracks_exact(rng):
     assert binned == pytest.approx(exact, rel=2e-3)
 
 
+@pytest.mark.parametrize("mode", SELECTOR_MODES)
+@pytest.mark.parametrize("form", ["t", "eta"])
+def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mode, form):
+    x = rng.standard_normal((80, 2))
+    data = x if mode == "direct-exact" else linear_binning(x, make_grid(x, (30, 30)))
+    bw = BandwidthMatrix(normal_scale_start(x))
+    built = []
+    init = BandwidthMatrix.__init__
+
+    def counting_init(self, h):
+        built.append(h)
+        init(self, h)
+
+    monkeypatch.setattr(BandwidthMatrix, "__init__", counting_init)
+    assert np.isfinite(lscv_objective(data, bw, mode=mode, form=form))
+    assert built == []
+
+
 def test_lscv_forms_agree(rng):
     x = rng.standard_normal((60, 2))
     h = 0.3 * np.eye(2)
@@ -171,6 +191,15 @@ def test_select_bandwidth_diagonal_constraint(rng):
     assert res.h[1, 0] == 0.0
 
 
+def test_select_bandwidth_reads_1d_sample_as_one_column():
+    x = np.random.default_rng(0).standard_normal(300)
+    for mode in ("fft-L", "direct-exact"):
+        cfg = SelectorConfig(mode=mode, grid_size=60)
+        res = select_bandwidth(x, cfg)
+        assert res.h.shape == (1, 1) and res.n_used == 300
+        assert np.array_equal(res.h, select_bandwidth(x[:, None], cfg).h)
+
+
 def test_select_bandwidth_too_few_points(rng):
     with pytest.raises(TooFewPoints):
         select_bandwidth(rng.standard_normal((5, 2)))
@@ -248,3 +277,15 @@ def test_kde_on_grid_modes_agree(rng):
     a = kde_on_grid(gc, h, mode="fft-M")
     b = kde_on_grid(gc, h, mode="direct-binned")
     assert np.allclose(a, b, atol=1e-12)
+
+
+def test_kde_on_grid_fft_m_at_smallest_wrap_free_padding(rng):
+    # At M = 22 the full-support kernel has L = 21 and convolve pads to
+    # 64 points per axis (M + 2L - 1 = 63), where padded_size_full gives
+    # 128.  The result must still equal the transform-free route.
+    x = rng.standard_normal((150, 2))
+    gc = linear_binning(x, make_grid(x, (22, 22)))
+    h = normal_scale_start(x)
+    a = kde_on_grid(gc, h, mode="fft-M")
+    b = kde_on_grid(gc, h, mode="direct-binned")
+    assert np.allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b)))
