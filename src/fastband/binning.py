@@ -74,9 +74,9 @@ class GridCounts:
     grid: GridSpec
     counts: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def n(self):
-        """Total weight, equal to the sample size."""
+        """Total weight, equal to the sample size (cached)."""
         return float(self.counts.sum())
 
     @cached_property

@@ -30,7 +30,6 @@ from .mixtures import exact_ise, load_mixture, mixture_catalog, sample_mixture
 from .selector import (
     SELECTOR_MODES,
     SelectorConfig,
-    dedup,
     kde_on_grid,
     lscv_objective,
     normal_scale_start,
@@ -225,15 +224,6 @@ def cmd_select(args):
         diagonal=args.constraint == "diagonal",
         r=args.r,
     )
-
-    sample = dedup(x) if cfg.dedup else x
-    binning_ms = 0.0
-    if cfg.mode != "direct-exact":
-        t0 = time.perf_counter()
-        grid = make_grid(sample, (cfg.grid_size,) * x.shape[1], cfg.margin_fraction)
-        linear_binning(sample, grid)
-        binning_ms = (time.perf_counter() - t0) * 1000.0
-
     res = select_bandwidth(x, cfg)
     if not np.all(np.isfinite(res.h)) or not np.isfinite(res.objective):
         raise SingularBandwidth("selection produced non-finite results")
@@ -248,7 +238,7 @@ def cmd_select(args):
     }
     return _make_report(
         "select", args, results,
-        binning_ms=binning_ms, objective_evals=res.n_evals, total_ms=total_ms,
+        binning_ms=res.binning_ms, objective_evals=res.n_evals, total_ms=total_ms,
     )
 
 

@@ -7,7 +7,15 @@ from .errors import OutOfRange, ShapeMismatch
 # ``convolve`` and ``normal_pdf`` are unused here; perfbench/tracing.py
 # patches them by these names.
 from .fftconv import DEFAULT_TAU, convolve, convolve_direct, effective_halfwidths
-from .gaussian import _as_points, _peak, _whitened_sq, eta_r, normal_pdf
+from .gaussian import (
+    _as_points,
+    _density_of_q,
+    _peak,
+    _whitened_sq,
+    _whitened_sq_grid,
+    eta_r,
+    normal_pdf,
+)
 from .linalg import as_bandwidth
 
 __all__ = [
@@ -58,9 +66,14 @@ def t_h(u, h):
     u, single = _as_points(u, bw.d)
     # An overflowing quadratic form gives e = 0, the kernel's limit.
     with np.errstate(over="ignore"):
-        e = np.exp(-0.25 * _whitened_sq(u, bw))
-    val = _peak(bw) * e * (2.0 ** (-bw.d / 2) - 2.0 * e)
+        val = _t_of_q(_whitened_sq(u, bw), bw)
     return float(val[0]) if single else val
+
+
+def _t_of_q(q, bw):
+    """``T_H`` from ``q = u^T H^-1 u``, see :func:`t_h`."""
+    e = np.exp(-0.25 * q)
+    return _peak(bw) * e * (2.0 ** (-bw.d / 2) - 2.0 * e)
 
 
 def kh_zero(h):
@@ -91,8 +104,8 @@ def cv_kernel(u, h, r=0, form="t"):
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _tabulate(func, grid, lambda_max, mode, tau):
-    """Evaluate ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
+def _offset_axes(grid, lambda_max, mode, tau):
+    """Half-widths ``L`` and offset vectors ``delta_k * [-L_k, ..., L_k]``.
 
     ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
     box from ``lambda_max``, the largest eigenvalue of the widest
@@ -105,8 +118,42 @@ def _tabulate(func, grid, lambda_max, mode, tau):
     else:
         halfwidths = tuple(m - 1 for m in grid.shape)
     axes = [dk * np.arange(-lk, lk + 1) for dk, lk in zip(grid.delta, halfwidths)]
+    return halfwidths, axes
+
+
+def _tabulate(func, grid, lambda_max, mode, tau):
+    """Evaluate ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
+
+    ``func`` maps a ``(P, d)`` matrix of offsets to kernel values; the
+    box is that of :func:`_offset_axes`.
+    """
+    halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     return np.asarray(func(pts)).reshape(tuple(2 * l + 1 for l in halfwidths))
+
+
+def _tabulate_of_q(of_q, bw, grid, lambda_max, mode, tau):
+    """Tabulate a kernel given as a function of ``q = u^T H^-1 u``, ``H = bw``.
+
+    Same box and layout as :func:`_tabulate`.  Such a kernel is even, so
+    ``q`` is built by broadcasting per-axis terms (see
+    :func:`_whitened_sq_grid`) over the half space ``j_1 >= 0`` only,
+    and the slab ``j_1 < 0`` is that half mirrored through the origin,
+    ``k(-j) = k(j)`` exactly.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``H`` and the grid differ in dimension.
+    """
+    if bw.d != grid.d:
+        raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
+    halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
+    axes[0] = axes[0][halfwidths[0]:]
+    # An overflowing quadratic form is inf, where every kernel here is 0.
+    with np.errstate(over="ignore"):
+        half = of_q(_whitened_sq_grid(axes, bw))
+    return np.concatenate((np.flip(half[1:]), half))
 
 
 def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
@@ -123,20 +170,35 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
 
+    The order-0 ``"t"`` form depends on ``u`` only through
+    ``u^T H^-1 u``, so it is tabulated over the half space ``j_1 >= 0``
+    by broadcasting and mirrored, ``k(-j) = k(j)`` exactly; the
+    ``"eta"`` form and orders above 0 evaluate every offset as a point.
+
     Returns
     -------
     ndarray of shape ``(2 L_1 + 1, ..., 2 L_d + 1)``.
     """
     bw = as_bandwidth(h)
-    if form == "t" and r != 0:
+    if form == "t" and r == 0:
+        return _tabulate_of_q(lambda q: _t_of_q(q, bw), bw, grid,
+                              2.0 * bw.lambda_max, mode, tau)
+    if form == "t":
         form = "eta"
     return _tabulate(lambda u: cv_kernel(u, bw, r=r, form=form),
                      grid, 2.0 * bw.lambda_max, mode, tau)
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
-    """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above."""
+    """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above.
+
+    At ``r == 0`` this is the Gaussian density, tabulated over the half
+    space and mirrored as in :func:`build_kernel_grid`.
+    """
     bw = as_bandwidth(sigma)
+    if r == 0:
+        return _tabulate_of_q(lambda q: _density_of_q(q, bw), bw, grid,
+                              bw.lambda_max, mode, tau)
     return _tabulate(lambda u: eta_r(u, bw, r), grid, bw.lambda_max, mode, tau)
 
 
@@ -152,7 +214,7 @@ def _binned_vstat(gc, kernel, mode):
     cached count autocorrelation ``A``, restricted to the kernel's box.
     """
     counts = gc.counts
-    n = counts.sum()
+    n = gc.n
     if mode == "direct-binned":
         pair_sum = np.sum(counts * convolve_direct(counts, kernel))
     else:

@@ -41,9 +41,38 @@ def _whitened_sq(x, bw):
     return np.einsum("ij,ij->i", z, z)
 
 
+def _whitened_sq_grid(axes, bw):
+    """Quadratic form ``u^T H^-1 u`` on the product grid of 1-D ``axes``.
+
+    The whitening of :func:`_whitened_sq`, built by broadcasting instead
+    of from a point matrix: with ``W = inv(L^T)``,
+    ``z_m = sum_k axes[k] W[k, m]``, each term a 1-D vector laid along
+    grid axis ``k``, and the result is ``sum_m z_m^2``, of shape
+    ``(len(axes[0]), ..., len(axes[d-1]))``.  ``W`` is upper triangular,
+    so ``z_m`` only sums ``k <= m`` and ``z_0`` stays 1-D.  Negating
+    every axis negates every ``z_m`` exactly, so ``q(-u) == q(u)``
+    bitwise.
+    """
+    d = len(axes)
+    w = np.linalg.inv(bw.chol.T)
+    along = [a.reshape((-1,) + (1,) * (d - 1 - k)) for k, a in enumerate(axes)]
+    q = 0.0
+    for m in range(d):
+        z = along[0] * w[0, m]
+        for k in range(1, m + 1):
+            z = z + along[k] * w[k, m]
+        q = q + z * z
+    return q
+
+
 def _peak(bw):
     """Gaussian density at the origin, ``(2 pi)^{-d/2} det(H)^{-1/2}``."""
     return 1.0 / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
+
+
+def _density_of_q(q, bw):
+    """Gaussian density ``K_H(0) exp(-q / 2)`` from the quadratic form ``q``."""
+    return _peak(bw) * np.exp(-0.5 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +98,7 @@ def normal_pdf(x, sigma):
     # A near-singular covariance sends the quadratic form to inf; the
     # density limit is 0 there, so the overflow is benign.
     with np.errstate(over="ignore"):
-        val = _peak(bw) * np.exp(-0.5 * _whitened_sq(x, bw))
+        val = _density_of_q(_whitened_sq(x, bw), bw)
     return float(val[0]) if single else val
 
 
@@ -109,7 +138,7 @@ def gaussian_derivative_vector(x, sigma, order):
     u = x @ bw.inv
     g_prev2 = None
     with np.errstate(over="ignore"):
-        g_prev = _peak(bw) * np.exp(-0.5 * _whitened_sq(x, bw))
+        g_prev = _density_of_q(_whitened_sq(x, bw), bw)
     if order == 0:
         return g_prev
 

@@ -55,7 +55,8 @@ def cholesky(m):
         If ``m`` is not symmetric positive definite.
     """
     m = _as_square(m)
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+    # An exactly symmetric m, such as the selector's L L^T, skips allclose.
+    if not ((m == m.T).all() or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
         raise NotPositiveDefinite("matrix is not symmetric")
     try:
         return np.linalg.cholesky(m)

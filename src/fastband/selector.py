@@ -1,6 +1,7 @@
 """Least-squares cross-validation bandwidth selection and grid KDE."""
 
 import math
+import time
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Optional
@@ -153,6 +154,9 @@ class SelectionResult:
         Sample size after deduplication.
     grid : GridSpec or None
         Binning grid for binned modes, None for ``"direct-exact"``.
+    binning_ms : float
+        Wall time of building that grid and binning the sample into it,
+        in milliseconds; 0.0 for ``"direct-exact"``.
     """
 
     h: np.ndarray
@@ -163,6 +167,7 @@ class SelectionResult:
     mode: str
     n_used: int
     grid: Optional[GridSpec] = None
+    binning_ms: float = 0.0
     theta: np.ndarray = field(default=None, repr=False)
 
 
@@ -412,9 +417,12 @@ def select_bandwidth(x, config=None):
 
     grid = None
     gc = None
+    binning_ms = 0.0
     if cfg.mode != "direct-exact":
+        t0 = time.perf_counter()
         grid = make_grid(x, (cfg.grid_size,) * d, cfg.margin_fraction)
         gc = linear_binning(x, grid)
+        binning_ms = (time.perf_counter() - t0) * 1000.0
     data = x if cfg.mode == "direct-exact" else gc
 
     param = SpdParam(d, diagonal=cfg.diagonal)
@@ -437,6 +445,7 @@ def select_bandwidth(x, config=None):
         mode=cfg.mode,
         n_used=n,
         grid=grid,
+        binning_ms=binning_ms,
         theta=sim.theta,
     )
 

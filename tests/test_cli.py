@@ -94,6 +94,25 @@ def test_select_reports_spd_bandwidth(capsys, sample_csv):
     assert report["timings"]["total_ms"] > 0
 
 
+def test_select_bins_once_and_reports_that_binning(capsys, sample_csv, monkeypatch):
+    import fastband.cli
+    import fastband.selector
+
+    calls = []
+    binning = fastband.selector.linear_binning
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return binning(*args, **kwargs)
+
+    monkeypatch.setattr(fastband.selector, "linear_binning", counting)
+    monkeypatch.setattr(fastband.cli, "linear_binning", counting)
+    code, out, _ = run_cli(capsys, "select", "--mode", "fft-L", "--grid", "60", sample_csv)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["timings"]["binning_ms"] > 0
+
+
 def test_select_diagonal_constraint(capsys, sample_csv):
     code, out, _ = run_cli(
         capsys, "select", "--constraint", "diagonal", "--grid", "60", sample_csv
@@ -275,3 +294,12 @@ def test_density_non_spd_bandwidth_exits_3(capsys, sample_csv):
     )
     assert code == 3
     assert json.loads(err)["error"]["type"] == "NotPositiveDefinite"
+
+
+@pytest.mark.parametrize("matrix", ["1", "1,0,0;0,1,0;0,0,1"])
+def test_density_bandwidth_of_another_dimension_exits_2(capsys, sample_csv, matrix):
+    code, _, err = run_cli(
+        capsys, "density", "--bandwidth", matrix, "--grid", "20", sample_csv
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ShapeMismatch"

@@ -7,17 +7,21 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from fastband import (
+    PSI_MODES,
     BandwidthMatrix,
     OutOfRange,
+    ShapeMismatch,
     build_kernel_grid,
     convolve,
     cv_kernel,
+    effective_halfwidths,
     eta_kernel_grid,
     exact_ise,
     kh_zero,
     linear_binning,
     make_grid,
     mixture_catalog,
+    normal_pdf,
     padded_size_full,
     psi_binned,
     psi_direct,
@@ -170,6 +174,94 @@ def test_eta_kernel_grid_center(rng):
     k = eta_kernel_grid(grid, np.eye(2), 1, mode="fft-M")
     center = tuple((s - 1) // 2 for s in k.shape)
     assert k[center] == pytest.approx(-0.3183099, abs=1e-7)
+
+
+def _offset_points(grid, shape):
+    """Offsets ``delta * j`` as (P, d) points, in the layout of a table of ``shape``."""
+    axes = [dk * np.arange(-(s // 2), s // 2 + 1) for dk, s in zip(grid.delta, shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+@pytest.mark.parametrize("shape", [(31,), (40,), (15, 22), (9, 12, 11)])
+@pytest.mark.parametrize("mode", PSI_MODES)
+def test_half_space_tables_match_pointwise_kernels(rng, shape, mode):
+    # The broadcast half-space tables against the kernels evaluated at
+    # every meshgrid offset; tau = 2 makes the fft-L box truncate.
+    d = len(shape)
+    x = rng.standard_normal((80, d))
+    grid = make_grid(x, shape)
+    h = random_spd(rng, d, scale=0.1)
+    bw = BandwidthMatrix(h)
+    for table, func, lam in (
+        (build_kernel_grid(grid, h, mode=mode, tau=2.0), lambda u: t_h(u, h),
+         2.0 * bw.lambda_max),
+        (eta_kernel_grid(grid, h, 0, mode=mode, tau=2.0), lambda u: normal_pdf(u, h),
+         bw.lambda_max),
+    ):
+        if mode == "fft-L":
+            half = effective_halfwidths(lam, grid.delta, grid.shape, 2.0)
+            assert any(l < m - 1 for l, m in zip(half, shape))
+        else:
+            half = tuple(m - 1 for m in shape)
+        assert table.shape == tuple(2 * l + 1 for l in half)
+        ref = func(_offset_points(grid, table.shape)).reshape(table.shape)
+        assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(table, np.flip(table))
+
+
+def test_half_space_tables_rotated_ill_conditioning(rng):
+    # Both routes whiten by the same inverse Cholesky factor, so they
+    # agree far inside the 10 cond eps (1 + q / 2) bound that holds
+    # each against scipy for this matrix.
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    h = rot @ np.diag([1.0, 1e-8]) @ rot.T
+    h = 0.5 * (h + h.T)
+    x = rng.multivariate_normal(np.zeros(2), h, size=200)
+    grid = make_grid(x, (41, 30))
+    for mode in PSI_MODES:
+        for table, ref_func in (
+            (build_kernel_grid(grid, h, mode=mode), lambda u: t_h(u, h)),
+            (eta_kernel_grid(grid, h, 0, mode=mode), lambda u: normal_pdf(u, h)),
+        ):
+            ref = ref_func(_offset_points(grid, table.shape)).reshape(table.shape)
+            assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(table, np.flip(table))
+
+
+def test_half_space_table_overflow_is_zero_without_warning():
+    # On this accepted H (det about 1e-290) the whitened offsets along
+    # the first axis square past the float range; the table is 0 there,
+    # and no overflow warning escapes.
+    h = np.array([[1e-320, 0.0], [0.0, 1e30]])
+    grid = make_grid(np.array([[0.0, 0.0], [1.0, 1.0]]), (8, 8))
+    k = build_kernel_grid(grid, h, mode="fft-M")
+    center = tuple((s - 1) // 2 for s in k.shape)
+    assert np.all(np.isfinite(k))
+    assert k[center] == t_h(np.zeros(2), h)
+    assert np.all(k[: center[0]] == 0.0)
+
+
+@pytest.mark.parametrize("d_h", [1, 3])
+def test_kernel_tables_reject_a_bandwidth_of_another_dimension(rng, d_h):
+    # A smaller or a larger H than the 2-D grid: the broadcast tables,
+    # the pointwise ones and the binned sums built on them all refuse it.
+    x = rng.standard_normal((60, 2))
+    grid = make_grid(x, (12, 12))
+    gc = linear_binning(x, grid)
+    h = 0.2 * np.eye(d_h)
+    for mode in PSI_MODES:
+        for call in (
+            lambda: build_kernel_grid(grid, h, mode=mode),
+            lambda: build_kernel_grid(grid, h, mode=mode, form="eta"),
+            lambda: build_kernel_grid(grid, h, r=2, mode=mode),
+            lambda: eta_kernel_grid(grid, h, 0, mode=mode),
+            lambda: eta_kernel_grid(grid, h, 2, mode=mode),
+            lambda: psi_binned(gc, h, mode=mode),
+            lambda: q_r_binned(gc, h, 0, mode=mode),
+        ):
+            with pytest.raises(ShapeMismatch):
+                call()
 
 
 # ---------------------------------------------------------------------------

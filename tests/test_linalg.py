@@ -73,6 +73,45 @@ def test_cholesky_rejects_non_spd():
         cholesky(np.ones((2, 3)))
 
 
+def _symmetry_edge_matrices():
+    """Matrices at the edges of ``allclose(m, m.T, rtol=1e-10, atol=1e-12)``."""
+    inf, nan = np.inf, np.nan
+    tol = 1e-12 + 1e-10 * 3.0
+    pairs = [
+        (0.5, 0.5), (0.0, -0.0), (3.0, 3.0 + 0.99 * tol), (3.0, 3.0 + 1.01 * tol),
+        (3.0 + 0.99 * tol, 3.0), (3.0 + 1.01 * tol, 3.0), (0.0, 0.99e-12),
+        (0.0, 1.01e-12), (1e300, 1e300 * (1 + 1e-11)), (1e300, 1e300 * (1 + 1e-9)),
+        (-1e-320, 1e-320), (inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf),
+        (inf, 1.0), (1.0, inf), (inf, 1e308), (nan, nan), (nan, 1.0), (1.0, nan),
+        (nan, inf),
+    ]
+    out = []
+    for a, b in pairs:
+        out.append(np.array([[2.0, a], [b, 2.0]]))
+        out.append(np.array([[a, 0.5, 0.0], [0.5, 1.0, b], [0.0, a, 1.0]]))
+    for diag in (inf, -inf, nan, -0.0):
+        out.append(np.array([[diag, 0.5], [0.5, 1.0]]))
+    return out
+
+
+def test_cholesky_symmetry_verdict_matches_allclose():
+    rng = np.random.default_rng(5)
+    mats = _symmetry_edge_matrices()
+    for _ in range(200):
+        m = random_spd(rng, 3)
+        i, j = rng.choice(3, size=2, replace=False)
+        m[i, j] += rng.choice([0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9]) * rng.choice([-1, 1])
+        mats.append(m)
+    for m in mats:
+        symmetric = np.allclose(m, m.T, rtol=1e-10, atol=1e-12)
+        try:
+            cholesky(m)
+            rejected = False
+        except NotPositiveDefinite as exc:
+            rejected = str(exc) == "matrix is not symmetric"
+        assert rejected == (not symmetric), m
+
+
 # ---------------------------------------------------------------------------
 # largest eigenvalue
 # ---------------------------------------------------------------------------

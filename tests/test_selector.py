@@ -12,15 +12,18 @@ from fastband import (
     BandwidthMatrix,
     OutOfRange,
     SelectorConfig,
+    ShapeMismatch,
     TooFewPoints,
     dedup,
     kde_on_grid,
     linear_binning,
     lscv_objective,
     make_grid,
+    mixture_catalog,
     nelder_mead,
     normal_pdf,
     normal_scale_start,
+    sample_mixture,
     select_bandwidth,
 )
 
@@ -200,6 +203,25 @@ def test_select_bandwidth_reads_1d_sample_as_one_column():
         assert np.array_equal(res.h, select_bandwidth(x[:, None], cfg).h)
 
 
+@pytest.mark.parametrize("rep", range(3))
+def test_fragile_coarse_grid_selection_passes_the_constructor(rep):
+    # Criterion 7's coarse setting, where the simplex runs toward
+    # near-singular H.  Every evaluation builds H through the validating
+    # constructor, so whatever the selector returns must pass it again.
+    x = sample_mixture(mixture_catalog("fragile"), 256,
+                       np.random.default_rng([20260820, 256, rep]))
+    res = select_bandwidth(x, SelectorConfig(mode="fft-L", grid_size=20))
+    assert np.all(np.isfinite(res.h)) and np.isfinite(res.objective)
+    BandwidthMatrix(res.h)
+
+
+def test_select_bandwidth_reports_its_binning_time(rng):
+    x = rng.standard_normal((200, 2))
+    assert select_bandwidth(x, SelectorConfig(grid_size=40)).binning_ms > 0.0
+    cfg = SelectorConfig(mode="direct-exact", max_iter=5)
+    assert select_bandwidth(x, cfg).binning_ms == 0.0
+
+
 def test_select_bandwidth_too_few_points(rng):
     with pytest.raises(TooFewPoints):
         select_bandwidth(rng.standard_normal((5, 2)))
@@ -289,3 +311,12 @@ def test_kde_on_grid_fft_m_at_smallest_wrap_free_padding(rng):
     a = kde_on_grid(gc, h, mode="fft-M")
     b = kde_on_grid(gc, h, mode="direct-binned")
     assert np.allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("d_h", [1, 3])
+@pytest.mark.parametrize("mode", ["fft-L", "fft-M", "direct-binned"])
+def test_kde_on_grid_rejects_a_bandwidth_of_another_dimension(rng, mode, d_h):
+    x = rng.standard_normal((100, 2))
+    gc = linear_binning(x, make_grid(x, (20, 20)))
+    with pytest.raises(ShapeMismatch):
+        kde_on_grid(gc, 0.3 * np.eye(d_h), mode=mode)
