@@ -36,6 +36,7 @@ from .fftconv import (
 )
 from .functionals import (
     PSI_MODES,
+    PairDifferences,
     build_kernel_grid,
     cv_kernel,
     eta_kernel_grid,
@@ -130,6 +131,7 @@ __all__ = [
     "CountsFftCache",
     # functionals
     "PSI_MODES",
+    "PairDifferences",
     "t_h",
     "kh_zero",
     "cv_kernel",

@@ -1,5 +1,7 @@
 """Cross-validation kernels and integrated density derivative functionals."""
 
+from functools import cached_property
+
 import numpy as np
 
 from .binning import GridCounts
@@ -12,6 +14,7 @@ from .gaussian import (
     _density_of_q,
     _peak,
     _whitened_sq,
+    _whitened_sq_axes,
     _whitened_sq_grid,
     eta_r,
     normal_pdf,
@@ -20,6 +23,7 @@ from .linalg import as_bandwidth
 
 __all__ = [
     "PSI_MODES",
+    "PairDifferences",
     "t_h",
     "kh_zero",
     "cv_kernel",
@@ -34,8 +38,8 @@ __all__ = [
 # Binned evaluation strategies for the pairwise sums.
 PSI_MODES = ("direct-binned", "fft-M", "fft-L")
 
-# Pairwise chunk budget for the exact O(n^2) routes.
-_PAIR_BUDGET = 1 << 21
+# Most pairs i < j per difference block on the exact O(n^2) routes.
+_PAIR_BUDGET = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -281,32 +285,129 @@ def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
 # exact pairwise sums
 # ---------------------------------------------------------------------------
 
-def _pairwise_vstat(x, func):
-    """Chunked evaluation of ``n^-2 sum_i sum_j func(X_i - X_j)``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n, d = x.shape
-    # Differences are built axis by axis, so the inner loop runs over
-    # the n partners rather than over the d coordinates; the cost per
-    # pair then no longer depends on n.  The rows keep pair order.
+class PairDifferences:
+    """Differences ``X_i - X_j`` over the pairs ``i < j`` of one sample.
+
+    The exact route's analogue of ``GridCounts.autocorrelation``: the
+    differences do not depend on ``H``, so the table is built on first
+    use and cached, and every later evaluation only reads it.  The
+    sample is copied and treated as fixed.
+
+    Attributes
+    ----------
+    x : (n, d) ndarray
+        The sample.
+    n, d : int
+        Sample size and dimension.
+    blocks : tuple of (d, p) ndarray
+        The ``n (n - 1) / 2`` differences in row-major pair order,
+        ``(0, 1), (0, 2), ..., (n - 2, n - 1)``, cut into contiguous
+        blocks of at most ``_PAIR_BUDGET`` pairs (cached; ``8 d n (n - 1)
+        / 2`` bytes in all).
+    """
+
+    def __init__(self, x):
+        self.x = np.array(x, dtype=float, ndmin=2)
+        self.n, self.d = self.x.shape
+
+    @cached_property
+    def blocks(self):
+        return tuple(_pair_blocks(self.x))
+
+
+def _pair_blocks(x):
+    """Yield ``X_i - X_j``, ``i < j``, as ``(d, p)`` blocks, see :class:`PairDifferences`.
+
+    Each block is filled row by row (a row may straddle two blocks), so
+    no ``n x n`` array or index table is formed; a caller that does not
+    keep the blocks holds one at a time.
+    """
     xt = np.ascontiguousarray(x.T)
-    chunk = max(1, _PAIR_BUDGET // max(1, n))
-    total = 0.0
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        diffs = xt[:, start:stop, None] - xt[:, None, :]
-        total += float(np.sum(func(diffs.reshape(d, -1).T)))
-    return total / (n * n)
+    d, n = xt.shape
+    remaining = n * (n - 1) // 2
+    i, j = 0, 1
+    while remaining:
+        p = min(_PAIR_BUDGET, remaining)
+        block = np.empty((d, p))
+        pos = 0
+        while pos < p:
+            take = min(n - j, p - pos)
+            np.subtract(xt[:, i, None], xt[:, j:j + take], out=block[:, pos:pos + take])
+            pos += take
+            j += take
+            if j == n:
+                i += 1
+                j = i + 1
+        remaining -= p
+        yield block
+
+
+def _pairwise_vstat(data, bw, of_block, at_zero):
+    """``n^-2 sum_i sum_j f(X_i - X_j)`` for an even ``f``, from the pairs ``i < j``.
+
+    Evaluates ``n^-2 [n f(0) + 2 sum_{i<j} f(X_i - X_j)]``, exact for
+    every kernel served here: a centred Gaussian and its even-order
+    derivatives are even.  ``of_block`` maps a ``(d, p)`` block of
+    differences to their ``p`` values of ``f``, and ``at_zero`` is
+    ``f(0)``.  ``data`` is a :class:`PairDifferences`, whose cached
+    table is read, or a raw ``(n, d)`` sample, whose blocks are
+    streamed and not kept.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the sample and ``H = bw`` differ in dimension.
+    """
+    if isinstance(data, PairDifferences):
+        n, d, blocks = data.n, data.d, data.blocks
+    else:
+        x = np.atleast_2d(np.asarray(data, dtype=float))
+        (n, d), blocks = x.shape, _pair_blocks(x)
+    if d != bw.d:
+        raise ShapeMismatch(f"sample is {d}-D but the bandwidth is {bw.d}-D")
+    total = sum(float(np.sum(of_block(block))) for block in blocks)
+    return (n * float(at_zero) + 2.0 * total) / (n * n)
 
 
 def psi_direct(x, h, r=0, form="t"):
-    """Exact pairwise double sum of the order-``r`` CV kernel."""
+    """Exact pairwise double sum of the order-``r`` CV kernel.
+
+    Returns ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, evaluated over
+    the ``n (n - 1) / 2`` pairs ``i < j`` (see :func:`_pairwise_vstat`).
+    The order-0 ``"t"`` form builds ``u^T H^-1 u`` per block from the
+    per-axis whitening of the exact differences; the ``"eta"`` form and
+    orders above 0 go through the derivative engine.
+
+    Parameters
+    ----------
+    x : (n, d) array_like or PairDifferences
+        Raw sample, whose differences are streamed block by block and
+        not kept, or the sample's cached difference table.
+    h : (d, d) array_like or BandwidthMatrix
+        Bandwidth matrix.
+    r : int, optional
+        Functional order (default 0).
+    form : str, optional
+        Kernel route, ``"t"`` or ``"eta"``; orders above 0 always use
+        the eta route.
+
+    Returns
+    -------
+    float
+    """
     bw = as_bandwidth(h)
-    if form == "t" and r != 0:
+    if form == "t" and r == 0:
+        # An overflowing quadratic form gives the kernel's limit, 0.
+        with np.errstate(over="ignore"):
+            return _pairwise_vstat(x, bw, lambda u: _t_of_q(_whitened_sq_axes(u, bw), bw),
+                                   _t_of_q(0.0, bw))
+    if form == "t":
         form = "eta"
-    return _pairwise_vstat(x, lambda u: cv_kernel(u, bw, r=r, form=form))
+    return _pairwise_vstat(x, bw, lambda u: cv_kernel(u.T, bw, r=r, form=form),
+                           cv_kernel(np.zeros(bw.d), bw, r=r, form=form))
 
 
 def q_r_exact(x, sigma, r):
-    """Exact pairwise V-statistic of ``eta_r``."""
+    """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
     bw = as_bandwidth(sigma)
-    return _pairwise_vstat(x, lambda u: eta_r(u, bw, r))
+    return _pairwise_vstat(x, bw, lambda u: eta_r(u.T, bw, r), eta_r(np.zeros(bw.d), bw, r))

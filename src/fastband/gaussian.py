@@ -34,35 +34,45 @@ def _as_points(x, d=None):
 def _whitened_sq(x, bw):
     """Quadratic form ``x^T H^-1 x = |L^-1 x|^2`` per row, ``L = bw.chol``.
 
-    Whitening by ``L^-1`` rather than multiplying by ``H^-1`` keeps the
-    accuracy of a triangular solve when ``H`` is ill-conditioned.
+    Whitening by ``L^-1`` (``bw.whiten = inv(L^T)``) rather than
+    multiplying by ``H^-1`` keeps the accuracy of a triangular solve
+    when ``H`` is ill-conditioned.
     """
-    z = x @ np.linalg.inv(bw.chol.T)
+    z = x @ bw.whiten
     return np.einsum("ij,ij->i", z, z)
+
+
+def _whitened_sq_axes(terms, bw):
+    """Quadratic form ``u^T H^-1 u`` from per-axis terms ``terms[k] = u_k``.
+
+    The whitening of :func:`_whitened_sq`, one coordinate at a time:
+    with ``W = bw.whiten``, ``z_m = sum_k terms[k] W[k, m]`` and the
+    result is ``sum_m z_m^2``.  ``W`` is upper triangular, so ``z_m``
+    only sums ``k <= m``.  The terms may be any arrays that broadcast
+    together, such as the rows of a ``(d, p)`` block of difference
+    vectors or 1-D offsets laid along grid axes.  Negating every term
+    negates every ``z_m`` exactly, so ``q(-u) == q(u)`` bitwise.
+    """
+    w = bw.whiten
+    q = 0.0
+    for m in range(bw.d):
+        z = terms[0] * w[0, m]
+        for k in range(1, m + 1):
+            z = z + terms[k] * w[k, m]
+        q = q + z * z
+    return q
 
 
 def _whitened_sq_grid(axes, bw):
     """Quadratic form ``u^T H^-1 u`` on the product grid of 1-D ``axes``.
 
-    The whitening of :func:`_whitened_sq`, built by broadcasting instead
-    of from a point matrix: with ``W = inv(L^T)``,
-    ``z_m = sum_k axes[k] W[k, m]``, each term a 1-D vector laid along
-    grid axis ``k``, and the result is ``sum_m z_m^2``, of shape
-    ``(len(axes[0]), ..., len(axes[d-1]))``.  ``W`` is upper triangular,
-    so ``z_m`` only sums ``k <= m`` and ``z_0`` stays 1-D.  Negating
-    every axis negates every ``z_m`` exactly, so ``q(-u) == q(u)``
-    bitwise.
+    Each ``axes[k]`` is laid along grid axis ``k`` and the terms are
+    broadcast by :func:`_whitened_sq_axes`, giving shape
+    ``(len(axes[0]), ..., len(axes[d-1]))``; ``z_0`` stays 1-D.
     """
     d = len(axes)
-    w = np.linalg.inv(bw.chol.T)
-    along = [a.reshape((-1,) + (1,) * (d - 1 - k)) for k, a in enumerate(axes)]
-    q = 0.0
-    for m in range(d):
-        z = along[0] * w[0, m]
-        for k in range(1, m + 1):
-            z = z + along[k] * w[k, m]
-        q = q + z * z
-    return q
+    return _whitened_sq_axes(
+        [a.reshape((-1,) + (1,) * (d - 1 - k)) for k, a in enumerate(axes)], bw)
 
 
 def _peak(bw):

@@ -93,8 +93,9 @@ class BandwidthMatrix:
     """A symmetric positive definite bandwidth matrix with cached factors.
 
     The constructor validates the matrix once and eagerly computes the
-    quantities every downstream routine needs: the Cholesky factor, the
-    determinant, the inverse, and the largest eigenvalue.
+    quantities every downstream routine needs: the Cholesky factor, its
+    whitening factor, the determinant, the inverse, and the largest
+    eigenvalue.
 
     Parameters
     ----------
@@ -108,7 +109,10 @@ class BandwidthMatrix:
     d : int
         Dimension.
     chol : (d, d) ndarray
-        Lower-triangular Cholesky factor.
+        Lower-triangular Cholesky factor ``L``.
+    whiten : (d, d) ndarray
+        Upper-triangular ``W = inv(L^T)``, so ``z = x W`` has
+        ``|z|^2 = x^T H^-1 x``.
     det : float
         Determinant of ``h``.
     inv : (d, d) ndarray
@@ -129,6 +133,7 @@ class BandwidthMatrix:
         self.h = h.copy()
         self.d = h.shape[0]
         self.chol = cholesky(h)
+        self.whiten = np.linalg.inv(self.chol.T)
         self.det = _usable_det(float(np.prod(np.diag(self.chol)) ** 2))
         self.inv = np.linalg.inv(h)
         self.lambda_max = largest_eigenvalue(h)
@@ -137,7 +142,7 @@ class BandwidthMatrix:
         """Return a new BandwidthMatrix equal to ``factor * h``, without refactoring.
 
         The cached factors are rescaled: ``chol`` by ``sqrt(factor)``,
-        ``det`` by ``factor^d``, ``inv`` by ``1 / factor`` and
+        ``whiten`` by ``1 / sqrt(factor)``, ``det`` by ``factor^d``, ``inv`` by ``1 / factor`` and
         ``lambda_max`` by ``factor``.  So every ``h`` the constructor
         accepted scales, even where a Cholesky of the rounded ``2 h``
         would fail.  A factor that is not positive raises
@@ -148,7 +153,9 @@ class BandwidthMatrix:
             raise NotPositiveDefinite(f"scale factor {factor} is not positive")
         out = object.__new__(BandwidthMatrix)
         out.det = _usable_det(self.det * factor ** self.d)
-        out.h, out.d, out.chol = factor * self.h, self.d, np.sqrt(factor) * self.chol
+        root = np.sqrt(factor)
+        out.h, out.d, out.chol = factor * self.h, self.d, root * self.chol
+        out.whiten = self.whiten / root
         out.inv, out.lambda_max = self.inv / factor, factor * self.lambda_max
         return out
 

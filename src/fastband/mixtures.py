@@ -168,7 +168,8 @@ def exact_ise(x, h, mix):
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")
 
     two_h = bw.scaled(2.0)
-    fhat_sq = _pairwise_vstat(x, lambda u: normal_pdf(u, two_h))
+    fhat_sq = _pairwise_vstat(
+        x, two_h, lambda u: normal_pdf(u.T, two_h), normal_pdf(np.zeros(d), two_h))
 
     cross = 0.0
     for w, mu, sig in zip(mix.weights, mix.means, mix.covs):

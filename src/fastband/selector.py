@@ -17,7 +17,13 @@ from .errors import (
     TooFewPoints,
 )
 from .fftconv import DEFAULT_TAU, convolve, convolve_direct
-from .functionals import eta_kernel_grid, kh_zero, psi_binned, psi_direct
+from .functionals import (
+    PairDifferences,
+    eta_kernel_grid,
+    kh_zero,
+    psi_binned,
+    psi_direct,
+)
 from .gaussian import eta_r
 from .linalg import BandwidthMatrix, SpdParam, as_bandwidth
 
@@ -227,9 +233,10 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
 
     Parameters
     ----------
-    data : (n, d) array_like or GridCounts
-        Raw sample for ``"direct-exact"``, binned sample for the
-        binned modes.
+    data : (n, d) array_like, PairDifferences or GridCounts
+        For ``"direct-exact"``, the raw sample (its pair differences
+        are streamed and not kept) or its cached ``PairDifferences``;
+        for the binned modes, the binned sample.
     h : (d, d) array_like or BandwidthMatrix
         Bandwidth matrix.
     r : int, optional
@@ -252,10 +259,13 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     bw = as_bandwidth(h)
     if mode == "direct-exact":
         if isinstance(data, GridCounts):
-            raise ShapeMismatch("direct-exact mode expects the raw sample")
-        x = np.atleast_2d(np.asarray(data, dtype=float))
-        n = x.shape[0]
-        pair_part = psi_direct(x, bw, r=r, form=form)
+            raise ShapeMismatch("direct-exact mode expects the raw sample or PairDifferences")
+        if isinstance(data, PairDifferences):
+            n = data.n
+        else:
+            data = np.atleast_2d(np.asarray(data, dtype=float))
+            n = data.shape[0]
+        pair_part = psi_direct(data, bw, r=r, form=form)
     else:
         if not isinstance(data, GridCounts):
             raise ShapeMismatch("binned modes expect GridCounts")
@@ -371,11 +381,14 @@ def nelder_mead(func, theta0, max_iter=2000, rel_tol=1e-7):
 def select_bandwidth(x, config=None):
     """Choose an unconstrained bandwidth matrix by cross-validation.
 
-    Bins the sample once, then minimizes the binned LSCV objective over
+    Prepares the sample once, then minimizes the LSCV objective over
     the log-Cholesky coordinates of the bandwidth with a Nelder-Mead
-    simplex started at the normal-scale bandwidth.  The FFT modes
-    transform the counts once, on the first evaluation; every later
-    evaluation is a kernel tabulation and a dot product.
+    simplex started at the normal-scale bandwidth.  The binned modes
+    bin the sample; the FFT modes transform the counts once, on the
+    first evaluation, and every later evaluation is a kernel
+    tabulation and a dot product.  ``"direct-exact"`` builds the
+    sample's ``PairDifferences`` once, on the first evaluation, and
+    every evaluation sums the kernel over its ``n (n - 1) / 2`` pairs.
 
     Parameters
     ----------
@@ -423,7 +436,7 @@ def select_bandwidth(x, config=None):
         grid = make_grid(x, (cfg.grid_size,) * d, cfg.margin_fraction)
         gc = linear_binning(x, grid)
         binning_ms = (time.perf_counter() - t0) * 1000.0
-    data = x if cfg.mode == "direct-exact" else gc
+    data = PairDifferences(x) if cfg.mode == "direct-exact" else gc
 
     param = SpdParam(d, diagonal=cfg.diagonal)
     theta0 = param.encode(normal_scale_start(x, diagonal=cfg.diagonal))

@@ -1,6 +1,7 @@
 """Tests for CV kernels, psi statistics, and Q_r V-statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from fastband import (
     PSI_MODES,
     BandwidthMatrix,
     OutOfRange,
+    PairDifferences,
     ShapeMismatch,
     build_kernel_grid,
     convolve,
     cv_kernel,
     effective_halfwidths,
     eta_kernel_grid,
+    eta_r,
     exact_ise,
     kh_zero,
     linear_binning,
@@ -30,6 +33,7 @@ from fastband import (
     sample_mixture,
     t_h,
 )
+from fastband import functionals
 
 from .conftest import random_spd
 
@@ -282,6 +286,113 @@ def test_psi_direct_axis_rescaling_identity(rng):
     base = psi_direct(x, h)
     scaled = psi_direct(s * x, s * s * h)
     assert scaled == pytest.approx(base / s**2, rel=1e-10)
+
+
+def _full_double_sum(x, f):
+    """``n^-2 sum_i sum_j f(X_i - X_j)`` over every ordered pair, diagonal included."""
+    n, d = x.shape
+    diffs = (x[:, None, :] - x[None, :, :]).reshape(-1, d)
+    return float(np.sum(f(diffs))) / (n * n)
+
+
+def _exact_ise_oracle(x, h, mix):
+    """``exact_ise`` with its f-hat squared term summed over every ordered pair."""
+    n, _ = x.shape
+    fhat_sq = _full_double_sum(x, lambda u: multivariate_normal(cov=2.0 * h).pdf(u))
+    cross = sum(
+        w * np.sum(multivariate_normal(mean=mu, cov=h + sig).pdf(x))
+        for w, mu, sig in zip(mix.weights, mix.means, mix.covs)
+    )
+    f_sq = sum(
+        wq * wp * multivariate_normal(mean=mup, cov=sigq + sigp).pdf(muq)
+        for wq, muq, sigq in zip(mix.weights, mix.means, mix.covs)
+        for wp, mup, sigp in zip(mix.weights, mix.means, mix.covs)
+    )
+    return fhat_sq - 2.0 * cross / n + f_sq
+
+
+@pytest.mark.parametrize("budget", [5, None])
+@pytest.mark.parametrize("n", [2, 7, 8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_pair_sums_match_full_double_sum(rng, monkeypatch, d, n, budget):
+    # A budget of 5 pairs makes rows straddle blocks.
+    if budget is not None:
+        monkeypatch.setattr(functionals, "_PAIR_BUDGET", budget)
+    x = 100.0 + rng.standard_normal((n, d))
+    h = random_spd(rng, d, scale=0.6)
+    for data in (x, PairDifferences(x)):
+        assert psi_direct(data, h) == pytest.approx(
+            _full_double_sum(x, lambda u: t_h(u, h)), rel=1e-12, abs=0.0)
+        assert psi_direct(data, h, r=2, form="eta") == pytest.approx(
+            _full_double_sum(x, lambda u: cv_kernel(u, h, r=2, form="eta")), rel=1e-12, abs=0.0)
+        for r in (0, 2):
+            assert q_r_exact(data, h, r) == pytest.approx(
+                _full_double_sum(x, lambda u: eta_r(u, h, r)), rel=1e-12, abs=0.0)
+    if d == 2:
+        mix = mixture_catalog("bimodal")
+        assert exact_ise(x - 100.0, h, mix) == pytest.approx(
+            _exact_ise_oracle(x - 100.0, h, mix), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("budget", [4, 5, 1 << 14])
+def test_pair_differences_layout(rng, monkeypatch, budget):
+    monkeypatch.setattr(functionals, "_PAIR_BUDGET", budget)
+    x = rng.standard_normal((9, 3))
+    pairs = PairDifferences(x)
+    assert (pairs.n, pairs.d) == (9, 3)
+    for block in pairs.blocks:
+        assert block.shape[0] == 3 and block.shape[1] <= budget
+        assert block.flags.c_contiguous
+    expected = np.array([x[i] - x[j] for i in range(9) for j in range(i + 1, 9)]).T
+    assert np.array_equal(np.concatenate(pairs.blocks, axis=1), expected)
+
+
+def test_pair_differences_table_is_built_once(rng, monkeypatch):
+    built = []
+    blocks = functionals._pair_blocks
+
+    def counting_blocks(x):
+        built.append(x.shape)
+        return blocks(x)
+
+    monkeypatch.setattr(functionals, "_pair_blocks", counting_blocks)
+    x = rng.standard_normal((40, 2))
+    pairs = PairDifferences(x)
+    h = 0.3 * np.eye(2)
+    first = psi_direct(pairs, h)
+    assert psi_direct(pairs, 0.5 * np.eye(2)) != first
+    assert q_r_exact(pairs, h, 0) > 0.0
+    assert psi_direct(pairs, h) == first
+    assert built == [(40, 2)]
+    psi_direct(x, h)
+    psi_direct(x, h)
+    assert len(built) == 3
+
+
+def test_raw_sample_streams_its_pair_differences(rng):
+    # The full table at n = 2000, d = 2 is 8 * 2 * 1999000 bytes = 32 MB.
+    x = rng.standard_normal((2000, 2))
+    h = 0.2 * np.eye(2)
+    tracemalloc.start()
+    try:
+        psi_direct(x, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_psi_direct_rejects_a_bandwidth_of_another_dimension(rng, n):
+    x = rng.standard_normal((n, 2))
+    for data in (x, PairDifferences(x)):
+        for h in (np.eye(1), np.eye(3)):
+            with pytest.raises(ShapeMismatch):
+                psi_direct(data, h)
+            with pytest.raises(ShapeMismatch):
+                psi_direct(data, h, r=2)
+            with pytest.raises(ShapeMismatch):
+                q_r_exact(data, h, 0)
 
 
 def test_psi_binned_modes_agree(rng):

@@ -212,8 +212,17 @@ def test_bandwidth_matrix_scaled_matches_fresh_factorization(rng, d, factor):
     fresh = BandwidthMatrix(factor * bw.h)
     out = bw.scaled(factor)
     assert isinstance(out, BandwidthMatrix) and out.d == d
-    for name in ("h", "chol", "det", "inv", "lambda_max"):
+    for name in ("h", "chol", "whiten", "det", "inv", "lambda_max"):
         assert _rel(getattr(out, name), getattr(fresh, name)) <= 1e-14, name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_matrix_caches_the_whitening_factor(rng, d):
+    # The inverse-Cholesky whitening is taken once, as every whitening
+    # took it before it was cached, so order-0 tables do not move.
+    bw = BandwidthMatrix(random_spd(rng, d))
+    assert np.array_equal(bw.whiten, np.linalg.inv(bw.chol.T))
+    assert np.array_equal(bw.whiten, np.triu(bw.whiten))
 
 
 def test_as_bandwidth_keeps_an_existing_matrix():

@@ -11,6 +11,7 @@ from fastband import (
     AllDuplicates,
     BandwidthMatrix,
     OutOfRange,
+    PairDifferences,
     SelectorConfig,
     ShapeMismatch,
     TooFewPoints,
@@ -26,6 +27,7 @@ from fastband import (
     sample_mixture,
     select_bandwidth,
 )
+from fastband import functionals
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,37 @@ def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mod
     monkeypatch.setattr(BandwidthMatrix, "__init__", counting_init)
     assert np.isfinite(lscv_objective(data, bw, mode=mode, form=form))
     assert built == []
+
+
+@pytest.mark.parametrize("r, form", [(0, "t"), (0, "eta"), (2, "eta")])
+def test_lscv_objective_on_pair_differences_equals_raw_sample(rng, r, form):
+    x = rng.standard_normal((70, 2))
+    h = normal_scale_start(x)
+    cached = lscv_objective(PairDifferences(x), h, r=r, mode="direct-exact", form=form)
+    assert cached == lscv_objective(x, h, r=r, mode="direct-exact", form=form)
+
+
+def test_binned_modes_reject_pair_differences(rng):
+    x = rng.standard_normal((30, 2))
+    for mode in SELECTOR_MODES:
+        if mode != "direct-exact":
+            with pytest.raises(ShapeMismatch):
+                lscv_objective(PairDifferences(x), np.eye(2), mode=mode)
+
+
+def test_direct_exact_selection_builds_the_pair_table_once(rng, monkeypatch):
+    built = []
+    blocks = functionals._pair_blocks
+
+    def counting_blocks(x):
+        built.append(x.shape)
+        return blocks(x)
+
+    monkeypatch.setattr(functionals, "_pair_blocks", counting_blocks)
+    x = rng.standard_normal((60, 2))
+    res = select_bandwidth(x, SelectorConfig(mode="direct-exact", max_iter=30))
+    assert res.n_evals > 30
+    assert built == [(60, 2)]
 
 
 def test_lscv_forms_agree(rng):
