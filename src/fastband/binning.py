@@ -53,10 +53,12 @@ class GridSpec:
         """Number of axes."""
         return len(self.shape)
 
-    @property
+    @cached_property
     def delta(self):
-        """Node spacing per axis."""
-        return (self.hi - self.lo) / (np.array(self.shape) - 1)
+        """Node spacing per axis (cached, read-only)."""
+        delta = (self.hi - self.lo) / (np.array(self.shape) - 1)
+        delta.flags.writeable = False
+        return delta
 
     def axis_nodes(self, k):
         """Node coordinates along axis ``k``."""

@@ -67,15 +67,12 @@ def effective_halfwidths(lambda_max, delta, shape, tau=DEFAULT_TAU):
         raise OutOfRange("lambda_max must be positive")
     if tau <= 0:
         raise OutOfRange("tau must be positive")
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if delta.size != len(shape):
+    delta = np.asarray(delta, dtype=float).ravel().tolist()
+    if len(delta) != len(shape):
         raise ShapeMismatch("delta and shape must agree in dimension")
     radius = tau * math.sqrt(lambda_max)
-    out = []
-    for dk, mk in zip(delta, shape):
-        lk = min(int(mk) - 1, math.ceil(radius / dk))
-        out.append(max(1, lk))
-    return tuple(out)
+    return tuple(max(1, min(int(mk) - 1, math.ceil(radius / dk)))
+                 for dk, mk in zip(delta, shape))
 
 
 def _next_pow2(n):

@@ -302,8 +302,8 @@ class PairDifferences:
     blocks : tuple of (d, p) ndarray
         The ``n (n - 1) / 2`` differences in row-major pair order,
         ``(0, 1), (0, 2), ..., (n - 2, n - 1)``, cut into contiguous
-        blocks of at most ``_PAIR_BUDGET`` pairs (cached; ``8 d n (n - 1)
-        / 2`` bytes in all).
+        blocks of at most ``_PAIR_BUDGET`` pairs, views of one buffer of
+        ``8 d n (n - 1) / 2`` bytes (cached).
     """
 
     def __init__(self, x):
@@ -312,23 +312,28 @@ class PairDifferences:
 
     @cached_property
     def blocks(self):
-        return tuple(_pair_blocks(self.x))
+        return tuple(_pair_blocks(self.x, table=True))
 
 
-def _pair_blocks(x):
+def _pair_blocks(x, table=False):
     """Yield ``X_i - X_j``, ``i < j``, as ``(d, p)`` blocks, see :class:`PairDifferences`.
 
     Each block is filled row by row (a row may straddle two blocks), so
-    no ``n x n`` array or index table is formed; a caller that does not
-    keep the blocks holds one at a time.
+    no ``n x n`` array or index table is formed.  The blocks are
+    contiguous views of one buffer: with ``table`` it holds the whole
+    table and each block is its own slice; otherwise it holds one block
+    and is refilled for the next, so a streaming caller must use each
+    block before asking for the next.
     """
     xt = np.ascontiguousarray(x.T)
     d, n = xt.shape
-    remaining = n * (n - 1) // 2
-    i, j = 0, 1
-    while remaining:
-        p = min(_PAIR_BUDGET, remaining)
-        block = np.empty((d, p))
+    total = n * (n - 1) // 2
+    buf = np.empty(d * (total if table else min(total, _PAIR_BUDGET)))
+    start, i, j = 0, 0, 1
+    while start < total:
+        p = min(_PAIR_BUDGET, total - start)
+        offset = d * start if table else 0
+        block = buf[offset:offset + d * p].reshape(d, p)
         pos = 0
         while pos < p:
             take = min(n - j, p - pos)
@@ -338,7 +343,7 @@ def _pair_blocks(x):
             if j == n:
                 i += 1
                 j = i + 1
-        remaining -= p
+        start += p
         yield block
 
 
@@ -348,10 +353,10 @@ def _pairwise_vstat(data, bw, of_block, at_zero):
     Evaluates ``n^-2 [n f(0) + 2 sum_{i<j} f(X_i - X_j)]``, exact for
     every kernel served here: a centred Gaussian and its even-order
     derivatives are even.  ``of_block`` maps a ``(d, p)`` block of
-    differences to their ``p`` values of ``f``, and ``at_zero`` is
-    ``f(0)``.  ``data`` is a :class:`PairDifferences`, whose cached
-    table is read, or a raw ``(n, d)`` sample, whose blocks are
-    streamed and not kept.
+    differences to the sum of ``f`` over its ``p`` pairs, and
+    ``at_zero`` is ``f(0)``.  ``data`` is a :class:`PairDifferences`,
+    whose cached table is read, or a raw ``(n, d)`` sample, whose
+    blocks are streamed and not kept.
 
     Raises
     ------
@@ -365,8 +370,21 @@ def _pairwise_vstat(data, bw, of_block, at_zero):
         (n, d), blocks = x.shape, _pair_blocks(x)
     if d != bw.d:
         raise ShapeMismatch(f"sample is {d}-D but the bandwidth is {bw.d}-D")
-    total = sum(float(np.sum(of_block(block))) for block in blocks)
+    total = sum(float(of_block(block)) for block in blocks)
     return (n * float(at_zero) + 2.0 * total) / (n * n)
+
+
+def _t_sum(u, bw):
+    """Sum of ``T_H`` over a ``(d, p)`` block of differences, see :func:`t_h`.
+
+    With ``e = exp(-q / 4)`` per pair, ``sum T_H = K_H(0) (2^{-d/2}
+    sum e - 2 sum e^2)``: one ``sum`` and one ``dot``, no array of
+    ``T_H`` values.
+    """
+    e = _whitened_sq_axes(u, bw)
+    e *= -0.25
+    np.exp(e, out=e)
+    return _peak(bw) * (2.0 ** (-bw.d / 2) * e.sum() - 2.0 * np.dot(e, e))
 
 
 def psi_direct(x, h, r=0, form="t"):
@@ -375,8 +393,10 @@ def psi_direct(x, h, r=0, form="t"):
     Returns ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, evaluated over
     the ``n (n - 1) / 2`` pairs ``i < j`` (see :func:`_pairwise_vstat`).
     The order-0 ``"t"`` form builds ``u^T H^-1 u`` per block from the
-    per-axis whitening of the exact differences; the ``"eta"`` form and
-    orders above 0 go through the derivative engine.
+    per-axis whitening of the exact differences and sums the kernel as
+    ``K_H(0) (2^{-d/2} sum e - 2 sum e^2)``, ``e = exp(-q / 4)`` (see
+    :func:`_t_sum`); the ``"eta"`` form and orders above 0 go through
+    the derivative engine.
 
     Parameters
     ----------
@@ -399,15 +419,15 @@ def psi_direct(x, h, r=0, form="t"):
     if form == "t" and r == 0:
         # An overflowing quadratic form gives the kernel's limit, 0.
         with np.errstate(over="ignore"):
-            return _pairwise_vstat(x, bw, lambda u: _t_of_q(_whitened_sq_axes(u, bw), bw),
-                                   _t_of_q(0.0, bw))
+            return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), _t_of_q(0.0, bw))
     if form == "t":
         form = "eta"
-    return _pairwise_vstat(x, bw, lambda u: cv_kernel(u.T, bw, r=r, form=form),
+    return _pairwise_vstat(x, bw, lambda u: np.sum(cv_kernel(u.T, bw, r=r, form=form)),
                            cv_kernel(np.zeros(bw.d), bw, r=r, form=form))
 
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
     bw = as_bandwidth(sigma)
-    return _pairwise_vstat(x, bw, lambda u: eta_r(u.T, bw, r), eta_r(np.zeros(bw.d), bw, r))
+    return _pairwise_vstat(x, bw, lambda u: np.sum(eta_r(u.T, bw, r)),
+                           eta_r(np.zeros(bw.d), bw, r))

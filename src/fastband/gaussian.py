@@ -1,5 +1,7 @@
 """Gaussian densities, their higher derivatives, and eta functionals."""
 
+import math
+
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch
@@ -54,12 +56,14 @@ def _whitened_sq_axes(terms, bw):
     negates every ``z_m`` exactly, so ``q(-u) == q(u)`` bitwise.
     """
     w = bw.whiten
-    q = 0.0
+    q = None
     for m in range(bw.d):
         z = terms[0] * w[0, m]
         for k in range(1, m + 1):
             z = z + terms[k] * w[k, m]
-        q = q + z * z
+        # z is a new array whose shape spans every axis q spans.
+        z *= z
+        q = z if q is None else np.add(q, z, out=z)
     return q
 
 
@@ -77,7 +81,7 @@ def _whitened_sq_grid(axes, bw):
 
 def _peak(bw):
     """Gaussian density at the origin, ``(2 pi)^{-d/2} det(H)^{-1/2}``."""
-    return 1.0 / ((2.0 * np.pi) ** (bw.d / 2) * np.sqrt(bw.det))
+    return 1.0 / ((2.0 * math.pi) ** (bw.d / 2) * math.sqrt(bw.det))
 
 
 def _density_of_q(q, bw):

@@ -1,5 +1,8 @@
 """Dense linear algebra helpers for bandwidth matrices."""
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NotPositiveDefinite, ShapeMismatch, SingularBandwidth
@@ -26,6 +29,14 @@ def _usable_det(det):
     if not np.isfinite(det) or det < _DET_FLOOR:
         raise SingularBandwidth(f"determinant {det} is not usable")
     return det
+
+
+def _square(x):
+    """``x ** 2`` of a Python float, ``inf`` where it overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _as_square(m):
@@ -92,10 +103,13 @@ def kron_power(v, r):
 class BandwidthMatrix:
     """A symmetric positive definite bandwidth matrix with cached factors.
 
-    The constructor validates the matrix once and eagerly computes the
-    quantities every downstream routine needs: the Cholesky factor, its
-    whitening factor, the determinant, the inverse, and the largest
-    eigenvalue.
+    The constructor validates the matrix once and eagerly computes what
+    every evaluation reads: the Cholesky factor, its whitening factor
+    and the determinant.  The inverse and the largest eigenvalue are
+    computed on first read and cached: only the derivative engine
+    (orders above 0) reads ``inv``, and only the kernel tables of the
+    binned modes read ``lambda_max``, so an order-0 exact evaluation
+    computes neither.
 
     Parameters
     ----------
@@ -114,11 +128,11 @@ class BandwidthMatrix:
         Upper-triangular ``W = inv(L^T)``, so ``z = x W`` has
         ``|z|^2 = x^T H^-1 x``.
     det : float
-        Determinant of ``h``.
+        Determinant of ``h``, the squared product of ``diag(L)``.
     inv : (d, d) ndarray
-        Inverse of ``h``.
+        Inverse of ``h``, ``np.linalg.inv(h)`` (lazy).
     lambda_max : float
-        Largest eigenvalue of ``h``.
+        Largest eigenvalue of ``h``, ``eigvalsh(h)[-1]`` (lazy).
 
     Raises
     ------
@@ -128,25 +142,41 @@ class BandwidthMatrix:
         If the determinant underflows to an unusable magnitude.
     """
 
+    # (source, factor) for a matrix made by ``scaled``, else None.
+    _scaled_from = None
+
     def __init__(self, h):
         h = _as_square(h)
         self.h = h.copy()
         self.d = h.shape[0]
         self.chol = cholesky(h)
         self.whiten = np.linalg.inv(self.chol.T)
-        self.det = _usable_det(float(np.prod(np.diag(self.chol)) ** 2))
-        self.inv = np.linalg.inv(h)
-        self.lambda_max = largest_eigenvalue(h)
+        self.det = _usable_det(_square(math.prod(self.chol.diagonal().tolist())))
+
+    @cached_property
+    def inv(self):
+        if self._scaled_from is None:
+            return np.linalg.inv(self.h)
+        source, factor = self._scaled_from
+        return source.inv / factor
+
+    @cached_property
+    def lambda_max(self):
+        if self._scaled_from is None:
+            return largest_eigenvalue(self.h)
+        source, factor = self._scaled_from
+        return factor * source.lambda_max
 
     def scaled(self, factor):
         """Return a new BandwidthMatrix equal to ``factor * h``, without refactoring.
 
         The cached factors are rescaled: ``chol`` by ``sqrt(factor)``,
-        ``whiten`` by ``1 / sqrt(factor)``, ``det`` by ``factor^d``, ``inv`` by ``1 / factor`` and
-        ``lambda_max`` by ``factor``.  So every ``h`` the constructor
-        accepted scales, even where a Cholesky of the rounded ``2 h``
-        would fail.  A factor that is not positive raises
-        ``NotPositiveDefinite``.
+        ``whiten`` by ``1 / sqrt(factor)`` and ``det`` by ``factor^d``;
+        on first read, ``inv`` is this matrix's ``inv / factor`` and
+        ``lambda_max`` its ``factor * lambda_max``.  So every ``h`` the
+        constructor accepted scales, even where a Cholesky of the
+        rounded ``2 h`` would fail.  A factor that is not positive
+        raises ``NotPositiveDefinite``.
         """
         factor = float(factor)
         if not factor > 0.0:
@@ -156,7 +186,7 @@ class BandwidthMatrix:
         root = np.sqrt(factor)
         out.h, out.d, out.chol = factor * self.h, self.d, root * self.chol
         out.whiten = self.whiten / root
-        out.inv, out.lambda_max = self.inv / factor, factor * self.lambda_max
+        out._scaled_from = (self, factor)
         return out
 
     def __repr__(self):

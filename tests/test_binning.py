@@ -52,6 +52,14 @@ def test_grid_spec_delta_and_nodes():
     assert g.axis_nodes(1)[-1] == g.hi[1]
 
 
+def test_grid_spec_delta_is_cached_and_read_only():
+    g = GridSpec(lo=[0.0, -1.0, 2.0], hi=[1.0, 1.0, 2.7], shape=(5, 3, 8))
+    assert g.delta is g.delta
+    assert np.array_equal(g.delta, (g.hi - g.lo) / (np.array(g.shape) - 1))
+    with pytest.raises(ValueError):
+        g.delta[0] = 1.0
+
+
 def test_grid_spec_validation():
     with pytest.raises(OutOfRange):
         GridSpec(lo=[0.0], hi=[1.0], shape=(1,))

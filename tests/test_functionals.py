@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -347,13 +348,22 @@ def test_pair_differences_layout(rng, monkeypatch, budget):
     assert np.array_equal(np.concatenate(pairs.blocks, axis=1), expected)
 
 
+def test_pair_differences_table_is_one_buffer(rng, monkeypatch):
+    monkeypatch.setattr(functionals, "_PAIR_BUDGET", 5)
+    x = rng.standard_normal((9, 2))
+    blocks = PairDifferences(x).blocks
+    base = blocks[0].base
+    assert len(blocks) == 8 and base is not None and base.size == 2 * 36
+    assert all(block.base is base for block in blocks)
+
+
 def test_pair_differences_table_is_built_once(rng, monkeypatch):
     built = []
     blocks = functionals._pair_blocks
 
-    def counting_blocks(x):
+    def counting_blocks(x, **kwargs):
         built.append(x.shape)
-        return blocks(x)
+        return blocks(x, **kwargs)
 
     monkeypatch.setattr(functionals, "_pair_blocks", counting_blocks)
     x = rng.standard_normal((40, 2))
@@ -380,6 +390,37 @@ def test_raw_sample_streams_its_pair_differences(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_block_sums_match_the_kernel_values(rng, monkeypatch, d):
+    # Each block's K_H(0) (2^{-d/2} sum e - 2 sum e^2) against the sum of
+    # its T_H values, and the whole statistic against the ordered double
+    # sum, for H from far below to far above the spread of the data.
+    monkeypatch.setattr(functionals, "_PAIR_BUDGET", 4)
+    x = rng.standard_normal((11, d))
+    for scale in (1e-3, 0.05, 1.0, 30.0):
+        h = random_spd(rng, d, scale=scale)
+        bw = BandwidthMatrix(h)
+        for block in PairDifferences(x).blocks:
+            assert functionals._t_sum(block, bw) == pytest.approx(
+                np.sum(t_h(block.T, h)), rel=1e-12, abs=1e-300)
+        for data in (x, PairDifferences(x)):
+            assert psi_direct(data, h) == pytest.approx(
+                _full_double_sum(x, lambda u: t_h(u, h)), rel=1e-12, abs=0.0)
+
+
+def test_psi_direct_near_singular_bandwidth_is_finite_without_warning(rng):
+    # An accepted H (det about 1e-290) whose whitened differences square
+    # past the float range along the first axis: every pair term is 0.
+    x = rng.standard_normal((40, 2))
+    h = np.array([[1e-320, 0.0], [0.0, 1e30]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (x, PairDifferences(x)):
+            value = psi_direct(data, h)
+            assert np.isfinite(value)
+            assert value == pytest.approx(t_h(np.zeros(2), h) / 40, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 5])

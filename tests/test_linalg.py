@@ -225,6 +225,40 @@ def test_bandwidth_matrix_caches_the_whitening_factor(rng, d):
     assert np.array_equal(bw.whiten, np.triu(bw.whiten))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_matrix_lazy_attributes_keep_their_formulas(rng, d):
+    # inv and lambda_max are computed on first read, by the same calls
+    # as when they were eager, so the fft-L box does not move.
+    h = random_spd(rng, d)
+    bw = BandwidthMatrix(h)
+    assert "inv" not in vars(bw) and "lambda_max" not in vars(bw)
+    assert np.array_equal(bw.inv, np.linalg.inv(h))
+    assert bw.lambda_max == np.linalg.eigvalsh(h)[-1]
+    assert bw.inv is bw.inv
+    for factor in (0.25, 2.0, 3.7):
+        for source in (bw, BandwidthMatrix(h)):
+            out = source.scaled(factor)
+            assert np.array_equal(out.inv, np.linalg.inv(h) / factor)
+            assert out.lambda_max == factor * np.linalg.eigvalsh(h)[-1]
+    twice = bw.scaled(2.0).scaled(3.7)
+    assert np.array_equal(twice.inv, np.linalg.inv(h) / 2.0 / 3.7)
+    assert twice.lambda_max == 3.7 * (2.0 * np.linalg.eigvalsh(h)[-1])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_matrix_det_is_the_squared_diagonal_product(rng, d):
+    for _ in range(50):
+        bw = BandwidthMatrix(random_spd(rng, d, scale=10.0 ** rng.uniform(-8, 8)))
+        assert bw.det == float(np.prod(np.diag(bw.chol)) ** 2)
+        assert type(bw.det) is float
+
+
+def test_bandwidth_matrix_det_overflow_is_singular():
+    # det = 1e400 does not fit a float: rejected as unusable, no warning.
+    with pytest.raises(SingularBandwidth):
+        BandwidthMatrix(np.diag([1e200, 1e200]))
+
+
 def test_as_bandwidth_keeps_an_existing_matrix():
     bw = BandwidthMatrix(np.eye(2))
     assert as_bandwidth(bw) is bw

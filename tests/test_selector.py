@@ -117,6 +117,33 @@ def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mod
     assert built == []
 
 
+@pytest.mark.parametrize("mode, inverses, eigens", [("direct-exact", 0, 0), ("fft-L", 0, 1)])
+def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mode, inverses,
+                                                         eigens):
+    # One selector evaluation: the constructor, then the objective.  The
+    # exact route reads neither H^-1 nor lambda_max; fft-L reads
+    # lambda_max once, to size its box.
+    x = rng.standard_normal((80, 2))
+    data = PairDifferences(x) if mode == "direct-exact" else linear_binning(
+        x, make_grid(x, (30, 30)))
+    h = normal_scale_start(x)
+    calls = {"inv_h": 0, "eigvalsh": 0}
+    inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
+
+    def counting_inv(a):
+        calls["inv_h"] += bool(np.array_equal(a, h))
+        return inv(a)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert np.isfinite(lscv_objective(data, BandwidthMatrix(h), mode=mode))
+    assert calls == {"inv_h": inverses, "eigvalsh": eigens}
+
+
 @pytest.mark.parametrize("r, form", [(0, "t"), (0, "eta"), (2, "eta")])
 def test_lscv_objective_on_pair_differences_equals_raw_sample(rng, r, form):
     x = rng.standard_normal((70, 2))
@@ -137,9 +164,9 @@ def test_direct_exact_selection_builds_the_pair_table_once(rng, monkeypatch):
     built = []
     blocks = functionals._pair_blocks
 
-    def counting_blocks(x):
+    def counting_blocks(x, **kwargs):
         built.append(x.shape)
-        return blocks(x)
+        return blocks(x, **kwargs)
 
     monkeypatch.setattr(functionals, "_pair_blocks", counting_blocks)
     x = rng.standard_normal((60, 2))
@@ -198,6 +225,19 @@ def test_nelder_mead_handles_infinite_regions():
     assert res.theta[0] == pytest.approx(1.0, abs=1e-5)
 
 
+def test_nelder_mead_counts_rejected_evaluations():
+    seen = []
+
+    def f(t):
+        value = np.nan if t[0] < 0.9 else (np.inf if t[1] > 2.1 else np.sum((t - 1.0) ** 2))
+        seen.append(value)
+        return value
+
+    res = nelder_mead(f, np.array([2.0, 2.0]))
+    assert res.n_evals == len(seen)
+    assert res.n_rejected == sum(not np.isfinite(v) for v in seen) > 0
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
@@ -246,6 +286,18 @@ def test_fragile_coarse_grid_selection_passes_the_constructor(rep):
     res = select_bandwidth(x, SelectorConfig(mode="fft-L", grid_size=20))
     assert np.all(np.isfinite(res.h)) and np.isfinite(res.objective)
     BandwidthMatrix(res.h)
+
+
+@pytest.mark.parametrize("rep", range(3))
+def test_selection_counts_rejected_evaluations(rep):
+    # The same coarse fragile setting: evaluations near the singular
+    # boundary are rejected as inf and counted.
+    x = sample_mixture(mixture_catalog("fragile"), 256,
+                       np.random.default_rng([20260820, 256, rep]))
+    res = select_bandwidth(x, SelectorConfig(mode="fft-L", grid_size=20))
+    assert 0 <= res.n_rejected <= res.n_evals
+    calm = select_bandwidth(np.random.default_rng(rep).standard_normal((100, 2)))
+    assert calm.n_rejected == 0
 
 
 def test_select_bandwidth_reports_its_binning_time(rng):

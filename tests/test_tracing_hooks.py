@@ -72,3 +72,28 @@ def test_tracer_install_and_uninstall_restore_every_hook():
     names = {span[0] for span in tracer.spans}
     assert {"selector.select_bandwidth", "functionals.build_kernel_grid",
             "fftconv.convolve", "linalg.BandwidthMatrix"} <= names
+
+
+def test_traced_selection_records_every_layer_per_evaluation():
+    # The per-layer metrics read these spans and counts; a restructured
+    # evaluation path must not silently zero them.
+    x = np.random.default_rng(5).standard_normal((90, 2))
+    for mode in ("direct-exact", "fft-L"):
+        tracer = _load_tracing().Tracer()
+        try:
+            tracer.install()
+            res = fastband.selector.select_bandwidth(
+                x, SelectorConfig(mode=mode, grid_size=30, max_iter=20))
+        finally:
+            tracer.uninstall()
+        spans = [span[0] for span in tracer.spans]
+        counts = tracer.counts["selector.select_bandwidth"]
+        assert res.n_rejected == counts["selector.evals_rejected"] == 0
+        assert counts["selector.evals"] == res.n_evals > 20
+        # One matrix per evaluation, plus the one that encodes the start.
+        assert spans.count("linalg.BandwidthMatrix") == res.n_evals + 1
+        if mode == "direct-exact":
+            assert spans.count("functionals.psi_direct") == res.n_evals
+        else:
+            assert spans.count("functionals.build_kernel_grid") == res.n_evals
+            assert counts["functionals.kernel_points"] > 0
