@@ -319,13 +319,18 @@ def _pair_blocks(x, table=False):
     """Yield ``X_i - X_j``, ``i < j``, as ``(d, p)`` blocks, see :class:`PairDifferences`.
 
     Each block is filled row by row (a row may straddle two blocks), so
-    no ``n x n`` array or index table is formed.  The blocks are
-    contiguous views of one buffer: with ``table`` it holds the whole
-    table and each block is its own slice; otherwise it holds one block
-    and is refilled for the next, so a streaming caller must use each
-    block before asking for the next.
+    no ``n x n`` array or index table is formed.  A row costs one ufunc
+    call on prepared views.  Filling a run of whole rows by one
+    broadcast subtraction compressed to ``j > i`` was measured slower
+    at n = 2000 and 4000: its extra passes over the data cost more than
+    the calls it saves.  The blocks are contiguous views of one buffer: with ``table`` it holds
+    the whole table and each block is its own slice; otherwise it holds
+    one block and is refilled for the next, so a streaming caller must
+    use each block before asking for the next.
     """
     xt = np.ascontiguousarray(x.T)
+    # points[i] is X_i as a (d, 1) column, a cheaper view than xt[:, i, None].
+    points = np.ascontiguousarray(x)[:, :, None]
     d, n = xt.shape
     total = n * (n - 1) // 2
     buf = np.empty(d * (total if table else min(total, _PAIR_BUDGET)))
@@ -337,7 +342,7 @@ def _pair_blocks(x, table=False):
         pos = 0
         while pos < p:
             take = min(n - j, p - pos)
-            np.subtract(xt[:, i, None], xt[:, j:j + take], out=block[:, pos:pos + take])
+            np.subtract(points[i], xt[:, j:j + take], block[:, pos:pos + take])
             pos += take
             j += take
             if j == n:
@@ -378,13 +383,18 @@ def _t_sum(u, bw):
     """Sum of ``T_H`` over a ``(d, p)`` block of differences, see :func:`t_h`.
 
     With ``e = exp(-q / 4)`` per pair, ``sum T_H = K_H(0) (2^{-d/2}
-    sum e - 2 sum e^2)``: one ``sum`` and one ``dot``, no array of
-    ``T_H`` values.
+    sum e - 2 sum e^2)``: two ``sum``s (numpy's pairwise summation), the
+    second after squaring ``e`` in place, and no array of ``T_H``
+    values.  No BLAS call is made: a ``dot`` over a block this long
+    would run on BLAS threads, so the sum's time and its last bits would
+    depend on the BLAS thread count.
     """
     e = _whitened_sq_axes(u, bw)
     e *= -0.25
     np.exp(e, out=e)
-    return _peak(bw) * (2.0 ** (-bw.d / 2) * e.sum() - 2.0 * np.dot(e, e))
+    sum_e = e.sum()
+    e *= e
+    return _peak(bw) * (2.0 ** (-bw.d / 2) * sum_e - 2.0 * e.sum())
 
 
 def psi_direct(x, h, r=0, form="t"):

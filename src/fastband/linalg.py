@@ -26,7 +26,7 @@ _DET_FLOOR = 1e-300
 # ---------------------------------------------------------------------------
 
 def _usable_det(det):
-    if not np.isfinite(det) or det < _DET_FLOOR:
+    if not math.isfinite(det) or det < _DET_FLOOR:
         raise SingularBandwidth(f"determinant {det} is not usable")
     return det
 
@@ -47,6 +47,21 @@ def _as_square(m):
     return m
 
 
+def _factor(m):
+    """Cholesky factor of a validated square float matrix, see :func:`cholesky`."""
+    # An exactly symmetric m, such as the selector's L L^T, is settled
+    # on its Python floats, which costs less than an array comparison at
+    # bandwidth sizes; a NaN fails both tests.
+    rows = m.tolist()
+    exact = all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i + 1))
+    if not (exact or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
+        raise NotPositiveDefinite("matrix is not symmetric")
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+
+
 def cholesky(m):
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
@@ -65,14 +80,7 @@ def cholesky(m):
     NotPositiveDefinite
         If ``m`` is not symmetric positive definite.
     """
-    m = _as_square(m)
-    # An exactly symmetric m, such as the selector's L L^T, skips allclose.
-    if not ((m == m.T).all() or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
-        raise NotPositiveDefinite("matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    return _factor(_as_square(m))
 
 
 def largest_eigenvalue(m):
@@ -103,13 +111,15 @@ def kron_power(v, r):
 class BandwidthMatrix:
     """A symmetric positive definite bandwidth matrix with cached factors.
 
-    The constructor validates the matrix once and eagerly computes what
-    every evaluation reads: the Cholesky factor, its whitening factor
-    and the determinant.  The inverse and the largest eigenvalue are
-    computed on first read and cached: only the derivative engine
-    (orders above 0) reads ``inv``, and only the kernel tables of the
-    binned modes read ``lambda_max``, so an order-0 exact evaluation
-    computes neither.
+    The constructor validates the matrix in one pass (one conversion and
+    copy, one symmetry check, then the factorization) and eagerly
+    computes what every evaluation reads: the Cholesky factor
+    ``np.linalg.cholesky(h)``, its whitening factor
+    ``np.linalg.inv(chol.T)`` and the determinant.  The inverse and the
+    largest eigenvalue are computed on first read and cached: only the
+    derivative engine (orders above 0) reads ``inv``, and only the
+    kernel tables of the binned modes read ``lambda_max``, so an order-0
+    exact evaluation computes neither.
 
     Parameters
     ----------
@@ -146,10 +156,9 @@ class BandwidthMatrix:
     _scaled_from = None
 
     def __init__(self, h):
-        h = _as_square(h)
-        self.h = h.copy()
-        self.d = h.shape[0]
-        self.chol = cholesky(h)
+        self.h = _as_square(np.array(h, dtype=float))
+        self.d = self.h.shape[0]
+        self.chol = _factor(self.h)
         self.whiten = np.linalg.inv(self.chol.T)
         self.det = _usable_det(_square(math.prod(self.chol.diagonal().tolist())))
 

@@ -3,7 +3,9 @@
 import math
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from numbers import Integral
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -305,11 +307,19 @@ def nelder_mead(func, theta0, max_iter=2000, rel_tol=1e-7):
     the vertex spread fall below ``rel_tol`` relative to the best
     vertex, or when the iteration budget runs out.
 
+    The simplex is kept as lists of Python floats, so its bookkeeping
+    costs no small-array numpy calls.  Every step is the IEEE double
+    arithmetic of an array implementation: vertices are ranked by a
+    stable sort, the centroid is a column sum taken row by row from
+    ``0.0`` and divided by ``p``, and the factors 1, 0.5 and 2 scale
+    exactly.
+
     Parameters
     ----------
     func : callable
-        Maps a coordinate vector to a float; a non-finite value is
-        taken as ``inf`` and counted in ``n_rejected``.
+        Maps a coordinate vector, a fresh ``(p,)`` ndarray, to a float;
+        a non-finite value is taken as ``inf`` and counted in
+        ``n_rejected``.
     theta0 : (p,) array_like
         Starting point.
     max_iter : int, optional
@@ -321,49 +331,47 @@ def nelder_mead(func, theta0, max_iter=2000, rel_tol=1e-7):
     -------
     SimplexResult
     """
-    alpha, beta, gamma = 1.0, 0.5, 2.0
-    theta0 = np.asarray(theta0, dtype=float).ravel()
-    p = theta0.size
+    start = np.asarray(theta0, dtype=float).ravel().tolist()
+    p = len(start)
+    n_evals = n_rejected = 0
 
-    evals = [0]
-    rejected = [0]
-
-    def f(t):
-        evals[0] += 1
-        v = func(t)
+    def f(vertex):
+        nonlocal n_evals, n_rejected
+        n_evals += 1
+        v = func(np.array(vertex))
         if math.isfinite(v):
             return float(v)
-        rejected[0] += 1
+        n_rejected += 1
         return math.inf
 
-    simplex = [theta0.copy()]
+    simplex = [start]
     for j in range(p):
-        vertex = theta0.copy()
-        step = 0.1 * abs(vertex[j]) if abs(vertex[j]) > 1e-8 else 0.1
-        vertex[j] += step
+        vertex = start.copy()
+        vertex[j] += 0.1 * abs(vertex[j]) if abs(vertex[j]) > 1e-8 else 0.1
         simplex.append(vertex)
-    simplex = np.array(simplex)
-    fvals = np.array([f(v) for v in simplex])
+    fvals = [f(v) for v in simplex]
 
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
+        order = sorted(range(p + 1), key=fvals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
 
-        f_spread = abs(fvals[-1] - fvals[0])
-        x_spread = np.max(np.abs(simplex[1:] - simplex[0]))
-        scale = rel_tol * (1.0 + abs(fvals[0]))
-        if f_spread < scale and x_spread < rel_tol * (1.0 + np.max(np.abs(simplex[0]))):
+        # The vertex spread is tested element by element, so a NaN
+        # coordinate fails it as it fails against an array's NaN maximum.
+        if (abs(fvals[-1] - fvals[0]) < rel_tol * (1.0 + abs(fvals[0]))
+                and _within(simplex[1:], best, rel_tol * (1.0 + max(map(abs, best))))):
             converged = True
             break
 
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + alpha * (centroid - simplex[-1])
+        centroid = [reduce(add, column, 0.0) / p for column in zip(*simplex[:-1])]
+        reflected = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = f(reflected)
 
         if fr < fvals[0]:
-            expanded = centroid + gamma * (reflected - centroid)
+            expanded = [c + 2.0 * (r - c) for c, r in zip(centroid, reflected)]
             fe = f(expanded)
             if fe < fr:
                 simplex[-1], fvals[-1] = expanded, fe
@@ -372,23 +380,26 @@ def nelder_mead(func, theta0, max_iter=2000, rel_tol=1e-7):
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = reflected, fr
         else:
-            if fr < fvals[-1]:
-                contracted = centroid + beta * (reflected - centroid)
-            else:
-                contracted = centroid + beta * (simplex[-1] - centroid)
+            toward = reflected if fr < fvals[-1] else worst
+            contracted = [c + 0.5 * (t - c) for c, t in zip(centroid, toward)]
             fc = f(contracted)
             if fc < min(fr, fvals[-1]):
                 simplex[-1], fvals[-1] = contracted, fc
             else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                simplex[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, vertex)]
+                               for vertex in simplex[1:]]
                 fvals[1:] = [f(v) for v in simplex[1:]]
 
-    order = np.argsort(fvals, kind="stable")
-    simplex, fvals = simplex[order], fvals[order]
+    best = min(range(p + 1), key=fvals.__getitem__)
     return SimplexResult(
-        theta=simplex[0], f=float(fvals[0]), iterations=it,
-        n_evals=evals[0], converged=converged, n_rejected=rejected[0],
+        theta=np.array(simplex[best]), f=fvals[best], iterations=it,
+        n_evals=n_evals, converged=converged, n_rejected=n_rejected,
     )
+
+
+def _within(vertices, best, tol):
+    """Whether every coordinate of every vertex is within ``tol`` of ``best``."""
+    return all(abs(v - b) < tol for vertex in vertices for v, b in zip(vertex, best))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from fastband import (
     t_h,
 )
 from fastband import functionals
+from fastband.gaussian import _whitened_sq_axes
 
 from .conftest import random_spd
 
@@ -408,6 +409,23 @@ def test_t_block_sums_match_the_kernel_values(rng, monkeypatch, d):
         for data in (x, PairDifferences(x)):
             assert psi_direct(data, h) == pytest.approx(
                 _full_double_sum(x, lambda u: t_h(u, h)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_t_block_sums_match_an_exactly_rounded_sum(rng, monkeypatch, d):
+    # The block sums of e and e^2 (numpy's pairwise summation, no BLAS)
+    # against math.fsum of the same e values.
+    monkeypatch.setattr(functionals, "_PAIR_BUDGET", 37)
+    x = rng.standard_normal((40, d))
+    for scale in (1e-3, 0.05, 1.0, 30.0):
+        bw = BandwidthMatrix(random_spd(rng, d, scale=scale))
+        for block in PairDifferences(x).blocks:
+            e = np.exp(-0.25 * _whitened_sq_axes(block, bw)).tolist()
+            sum_e, sum_e2 = math.fsum(e), math.fsum(v * v for v in e)
+            peak, c = kh_zero(bw), 2.0 ** (-d / 2)
+            expected = peak * (c * sum_e - 2.0 * sum_e2)
+            tol = 1e-13 * peak * (c * sum_e + 2.0 * sum_e2)
+            assert abs(functionals._t_sum(block, bw) - expected) <= tol
 
 
 def test_psi_direct_near_singular_bandwidth_is_finite_without_warning(rng):

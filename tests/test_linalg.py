@@ -195,6 +195,45 @@ def test_bandwidth_matrix_rejects_singular():
         BandwidthMatrix(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_matrix_factors_are_the_numpy_calls(rng, d):
+    # The one-pass constructor keeps the bits of cholesky(h), inv(L^T)
+    # and the squared diagonal product, and holds its own copy of h.
+    for scale in (1e-6, 1.0, 1e6):
+        h = random_spd(rng, d, scale=scale)
+        bw = BandwidthMatrix(h.tolist())
+        chol = np.linalg.cholesky(h)
+        assert bw.chol.tobytes() == chol.tobytes()
+        assert bw.whiten.tobytes() == np.linalg.inv(chol.T).tobytes()
+        assert bw.det == float(np.prod(np.diag(chol)) ** 2)
+        assert bw.h.tobytes() == h.tobytes() and bw.d == d
+    held = h.copy()
+    bw = BandwidthMatrix(held)
+    held[0, 0] = 99.0
+    assert bw.h[0, 0] == h[0, 0]
+
+
+@pytest.mark.parametrize("h, error", [
+    (np.ones(2), ShapeMismatch),
+    (np.ones((2, 3)), ShapeMismatch),
+    ([[1.0, 0.5], [0.4, 1.0]], NotPositiveDefinite),
+    (np.diag([1.0, -1.0]), NotPositiveDefinite),
+    ([[np.nan, 0.0], [0.0, 1.0]], NotPositiveDefinite),
+    ([[1.0, np.nan], [np.nan, 1.0]], NotPositiveDefinite),
+    (np.diag([1e-200, 1e-200]), SingularBandwidth),
+])
+def test_bandwidth_matrix_error_types(h, error):
+    with pytest.raises(error):
+        BandwidthMatrix(h)
+    if error is SingularBandwidth:
+        # The free function only factors; the determinant is the
+        # constructor's test.
+        assert np.array_equal(cholesky(h), np.linalg.cholesky(h))
+    else:
+        with pytest.raises(error):
+            cholesky(h)
+
+
 def test_bandwidth_matrix_scaled():
     bw = BandwidthMatrix(np.eye(2)).scaled(4.0)
     assert np.allclose(bw.h, 4.0 * np.eye(2))

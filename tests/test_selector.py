@@ -1,6 +1,10 @@
 """Tests for the LSCV objective, the simplex minimizer, and selection."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from fastband import (
     PairDifferences,
     SelectorConfig,
     ShapeMismatch,
+    SimplexResult,
     TooFewPoints,
     dedup,
     kde_on_grid,
@@ -27,6 +32,7 @@ from fastband import (
     sample_mixture,
     select_bandwidth,
 )
+import fastband
 from fastband import functionals
 
 
@@ -238,6 +244,145 @@ def test_nelder_mead_counts_rejected_evaluations():
     assert res.n_rejected == sum(not np.isfinite(v) for v in seen) > 0
 
 
+def _nelder_mead_array_reference(func, theta0, max_iter=2000, rel_tol=1e-7, shrinks=None):
+    """Nelder-Mead on numpy arrays: the reference ``nelder_mead`` matches bit for bit.
+
+    ``shrinks``, when a list, gets one entry per shrink step.
+    """
+    alpha, beta, gamma = 1.0, 0.5, 2.0
+    theta0 = np.asarray(theta0, dtype=float).ravel()
+    p = theta0.size
+
+    evals = [0]
+    rejected = [0]
+
+    def f(t):
+        evals[0] += 1
+        v = func(t)
+        if math.isfinite(v):
+            return float(v)
+        rejected[0] += 1
+        return math.inf
+
+    simplex = [theta0.copy()]
+    for j in range(p):
+        vertex = theta0.copy()
+        step = 0.1 * abs(vertex[j]) if abs(vertex[j]) > 1e-8 else 0.1
+        vertex[j] += step
+        simplex.append(vertex)
+    simplex = np.array(simplex)
+    fvals = np.array([f(v) for v in simplex])
+
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+
+        f_spread = abs(fvals[-1] - fvals[0])
+        x_spread = np.max(np.abs(simplex[1:] - simplex[0]))
+        scale = rel_tol * (1.0 + abs(fvals[0]))
+        if f_spread < scale and x_spread < rel_tol * (1.0 + np.max(np.abs(simplex[0]))):
+            converged = True
+            break
+
+        centroid = simplex[:-1].mean(axis=0)
+        reflected = centroid + alpha * (centroid - simplex[-1])
+        fr = f(reflected)
+
+        if fr < fvals[0]:
+            expanded = centroid + gamma * (reflected - centroid)
+            fe = f(expanded)
+            if fe < fr:
+                simplex[-1], fvals[-1] = expanded, fe
+            else:
+                simplex[-1], fvals[-1] = reflected, fr
+        elif fr < fvals[-2]:
+            simplex[-1], fvals[-1] = reflected, fr
+        else:
+            if fr < fvals[-1]:
+                contracted = centroid + beta * (reflected - centroid)
+            else:
+                contracted = centroid + beta * (simplex[-1] - centroid)
+            fc = f(contracted)
+            if fc < min(fr, fvals[-1]):
+                simplex[-1], fvals[-1] = contracted, fc
+            else:
+                if shrinks is not None:
+                    shrinks.append(it)
+                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                fvals[1:] = [f(v) for v in simplex[1:]]
+
+    order = np.argsort(fvals, kind="stable")
+    simplex, fvals = simplex[order], fvals[order]
+    return SimplexResult(
+        theta=simplex[0], f=float(fvals[0]), iterations=it,
+        n_evals=evals[0], converged=converged, n_rejected=rejected[0],
+    )
+
+
+def _rosen(t):
+    return float(sum(100.0 * (t[k + 1] - t[k] ** 2) ** 2 + (1.0 - t[k]) ** 2
+                     for k in range(t.size - 1)))
+
+
+def _inf_below_diagonal(t):
+    return math.inf if t[0] + t[1] < 0.5 else float((t[0] - 0.1) ** 2 + 3.0 * t[1] ** 2)
+
+
+def _rotated_bowl(t):
+    a = np.arange(1.0, t.size + 1.0)
+    return float(np.sum(a * (t - 0.3) ** 2) + 0.4 * np.sum(t[:-1] * t[1:]))
+
+
+def _box_max(t):
+    # Piecewise constant off a coarse lattice: flat faces force shrinks.
+    return float(np.max(np.floor(np.abs(t - 0.37) * 8.0)) + 1e-3 * np.sum(t ** 2))
+
+
+_SIMPLEX_CASES = {
+    "rosenbrock-3d": (_rosen, [-1.2, 1.0, 0.8], {"max_iter": 5000, "rel_tol": 1e-10}),
+    "inf-region": (_inf_below_diagonal, [2.0, 2.0], {}),
+    "shrink": (_box_max, [1.5, -0.7], {}),
+    "p1": (lambda t: float((t[0] - 1.0) ** 2 + 0.1 * abs(t[0])), [2.0], {}),
+    "p6": (_rotated_bowl, [0.0, 1.0, -2.0, 0.5, 1e-9, 3.0], {"rel_tol": 1e-9}),
+    "max-iter-0": (_rosen, [-1.2, 1.0, 0.8], {"max_iter": 0}),
+    "budget-out": (_rosen, [-1.2, 1.0, 0.8], {"max_iter": 60}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIMPLEX_CASES))
+def test_nelder_mead_keeps_the_array_iterates(case):
+    # The list-based simplex evaluates the same points in the same order
+    # and returns the same bits as the array version it replaced.
+    func, start, kwargs = _SIMPLEX_CASES[case]
+    calls, ref_calls, shrinks = [], [], []
+
+    def recorded(log):
+        def g(t):
+            assert isinstance(t, np.ndarray) and t.shape == (len(start),)
+            log.append(t.tobytes())
+            return func(t)
+        return g
+
+    ours = nelder_mead(recorded(calls), np.array(start), **kwargs)
+    ref = _nelder_mead_array_reference(recorded(ref_calls), np.array(start),
+                                       shrinks=shrinks, **kwargs)
+    assert calls == ref_calls
+    assert ours.theta.tobytes() == ref.theta.tobytes()
+    assert ours.f.hex() == ref.f.hex()
+    for name in ("iterations", "n_evals", "n_rejected", "converged"):
+        assert getattr(ours, name) == getattr(ref, name), name
+    if case == "shrink":
+        assert shrinks
+    if case == "inf-region":
+        assert ours.n_rejected > 0
+    if case == "budget-out":
+        assert not ours.converged and ours.iterations == 60
+    if case == "max-iter-0":
+        assert ours.iterations == 0 and ours.n_evals == 4
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
@@ -274,6 +419,30 @@ def test_select_bandwidth_reads_1d_sample_as_one_column():
         res = select_bandwidth(x, cfg)
         assert res.h.shape == (1, 1) and res.n_used == 300
         assert np.array_equal(res.h, select_bandwidth(x[:, None], cfg).h)
+
+
+_EXACT_SELECTION = """
+import numpy as np
+from fastband import SelectorConfig, mixture_catalog, sample_mixture, select_bandwidth
+x = sample_mixture(mixture_catalog("correlated"), 150, np.random.default_rng(11))
+res = select_bandwidth(x, SelectorConfig(mode="direct-exact"))
+print(res.h.tobytes().hex(), res.n_evals, res.objective.hex())
+"""
+
+
+def test_direct_exact_selection_does_not_depend_on_blas_threads():
+    # Each block of an n = 150 sample holds 11,175 pairs, above the size
+    # at which a BLAS reduction would split across threads.
+    src = str(Path(fastband.__file__).resolve().parents[1])
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _EXACT_SELECTION], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out[threads] = run.stdout
+    assert out["1"] == out["2"]
 
 
 @pytest.mark.parametrize("rep", range(3))

@@ -92,6 +92,7 @@ def test_traced_selection_records_every_layer_per_evaluation():
         assert counts["selector.evals"] == res.n_evals > 20
         # One matrix per evaluation, plus the one that encodes the start.
         assert spans.count("linalg.BandwidthMatrix") == res.n_evals + 1
+        assert spans.count("selector.nelder_mead") == 1
         if mode == "direct-exact":
             assert spans.count("functionals.psi_direct") == res.n_evals
         else:
