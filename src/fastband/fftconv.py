@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import OutOfRange, ShapeMismatch
 
@@ -80,6 +79,24 @@ def _next_pow2(n):
     return 1 << max(0, (int(n) - 1)).bit_length()
 
 
+def _next_fast_len_real(n):
+    """Smallest 5-smooth integer that is at least ``n``.
+
+    Real transforms are fastest at sizes with no prime factor above 5.
+    This is scipy's ``next_fast_len(n, real=True)``.
+    """
+    n = int(n)
+    best = _next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * _next_pow2(-(-n // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def padded_size_full(shape):
     """Padded FFT sizes for full-support kernels: powers of two >= 3M - 1."""
     return tuple(_next_pow2(3 * int(m) - 1) for m in shape)
@@ -92,6 +109,37 @@ def padded_size_truncated(shape, halfwidths):
     return tuple(
         _next_pow2(int(m) + 2 * int(l) - 1) for m, l in zip(shape, halfwidths)
     )
+
+
+# ---------------------------------------------------------------------------
+# transforms
+# ---------------------------------------------------------------------------
+
+def _rfftn(a, s):
+    """Real transform of ``a`` zero-padded to shape ``s``.
+
+    The real pass runs over the last axis, then the complex passes over
+    axes ``0 .. d-2`` in increasing order.  ``np.fft.rfftn`` orders the
+    complex passes differently for ``d >= 3``, which changes the last
+    bits of the result.
+    """
+    out = np.fft.rfft(a, n=s[-1], axis=-1)
+    for axis in range(len(s) - 1):
+        out = np.fft.fft(out, n=s[axis], axis=axis)
+    return out
+
+
+def _irfftn(a, s):
+    """Inverse of :func:`_rfftn` at shape ``s``; overwrites the complex ``a``.
+
+    The passes run unscaled and the result is scaled once by
+    ``1 / prod(s)``; per-pass scaling rounds differently.
+    """
+    for axis in range(len(s) - 1):
+        np.fft.ifft(a, axis=axis, norm="forward", out=a)
+    out = np.fft.irfft(a, n=s[-1], axis=-1, norm="forward")
+    out *= 1.0 / math.prod(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +179,8 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
         FFT shape, at least ``M + L`` per axis; defaults to
         ``padded_size_truncated``.
     counts_fft : ndarray, optional
-        Precomputed real transform (``rfftn``) of the zero-padded counts
-        at ``padded_shape``, as returned by :class:`CountsFftCache`.
+        Precomputed real transform of the counts zero-padded to
+        ``padded_shape``, as returned by :meth:`CountsFftCache.get`.
 
     Returns
     -------
@@ -154,9 +202,13 @@ def convolve(counts, kernel, padded_shape=None, counts_fft=None):
         padded_shape = padded_size_truncated(counts.shape, [max(1, l) for l in halfwidths])
     _check_padded(padded_shape, counts.shape, halfwidths)
     if counts_fft is None:
-        counts_fft = sfft.rfftn(counts, s=padded_shape)
-    kernel_fft = sfft.rfftn(kernel, s=padded_shape)
-    full = sfft.irfftn(counts_fft * kernel_fft, s=padded_shape)
+        counts_fft = _rfftn(counts, padded_shape)
+    kernel_fft = _rfftn(kernel, padded_shape)
+    # The product goes into the kernel's spectrum, which nothing else
+    # holds, and the inverse transforms it in place.  The counts stay the
+    # first factor: a complex product with swapped factors can round
+    # differently.
+    full = _irfftn(np.multiply(counts_fft, kernel_fft, out=kernel_fft), padded_shape)
     window = tuple(
         slice(l, l + m) for l, m in zip(halfwidths, counts.shape)
     )
@@ -200,8 +252,8 @@ def autocorrelate(counts):
     grid.  For any kernel grid ``k`` the binned pair sum is
     ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)``, so one transform
     pair per sample serves every bandwidth.  The real transforms run
-    at ``next_fast_len(2 M_k - 1)`` per axis, long enough that the
-    circular product does not wrap.
+    at the smallest 5-smooth size ``>= 2 M_k - 1`` per axis, long
+    enough that the circular product does not wrap.
 
     Parameters
     ----------
@@ -213,9 +265,15 @@ def autocorrelate(counts):
     ndarray of shape ``(2 M_1 - 1, ..., 2 M_d - 1)``.
     """
     counts = np.asarray(counts, dtype=float)
-    padded = tuple(sfft.next_fast_len(2 * m - 1, real=True) for m in counts.shape)
-    spec = sfft.rfftn(counts, s=padded)
-    circular = sfft.irfftn(spec.real ** 2 + spec.imag ** 2, s=padded)
+    padded = tuple(_next_fast_len_real(2 * m - 1) for m in counts.shape)
+    spec = _rfftn(counts, padded)
+    # The power spectrum |spec|^2 replaces spec in place, with zero
+    # imaginary part, so the inverse needs no complex copy of it.
+    re, im = spec.real, spec.imag
+    re *= re
+    re += im * im
+    im[...] = 0.0
+    circular = _irfftn(spec, padded)
     offsets = [np.arange(1 - m, m) % p for m, p in zip(counts.shape, padded)]
     return circular[np.ix_(*offsets)]
 
@@ -233,9 +291,9 @@ class CountsFftCache:
         self._cache = {}
 
     def get(self, padded_shape):
-        """``rfftn`` of the zero-padded counts at ``padded_shape``, at least ``M``."""
+        """Real transform of the counts zero-padded to ``padded_shape``, at least ``M``."""
         key = tuple(int(p) for p in padded_shape)
         if key not in self._cache:
             _check_padded(key, self.counts.shape, (0,) * self.counts.ndim)
-            self._cache[key] = sfft.rfftn(self.counts, s=key)
+            self._cache[key] = _rfftn(self.counts, key)
         return self._cache[key]

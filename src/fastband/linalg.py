@@ -31,10 +31,10 @@ def _usable_det(det):
     return det
 
 
-def _square(x):
-    """``x ** 2`` of a Python float, ``inf`` where it overflows."""
+def _power(x, k):
+    """``x ** k`` of a Python float, ``inf`` where it overflows."""
     try:
-        return x ** 2
+        return x ** k
     except OverflowError:
         return math.inf
 
@@ -160,7 +160,7 @@ class BandwidthMatrix:
         self.d = self.h.shape[0]
         self.chol = _factor(self.h)
         self.whiten = np.linalg.inv(self.chol.T)
-        self.det = _usable_det(_square(math.prod(self.chol.diagonal().tolist())))
+        self.det = _usable_det(_power(math.prod(self.chol.diagonal().tolist()), 2))
 
     @cached_property
     def inv(self):
@@ -191,7 +191,7 @@ class BandwidthMatrix:
         if not factor > 0.0:
             raise NotPositiveDefinite(f"scale factor {factor} is not positive")
         out = object.__new__(BandwidthMatrix)
-        out.det = _usable_det(self.det * factor ** self.d)
+        out.det = _usable_det(self.det * _power(factor, self.d))
         root = np.sqrt(factor)
         out.h, out.d, out.chol = factor * self.h, self.d, root * self.chol
         out.whiten = self.whiten / root

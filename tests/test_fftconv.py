@@ -1,9 +1,16 @@
 """Tests for padding arithmetic and FFT convolution on grids."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.signal import fftconvolve
 
+import fastband
 from fastband import (
     CountsFftCache,
     OutOfRange,
@@ -15,6 +22,7 @@ from fastband import (
     padded_size_full,
     padded_size_truncated,
 )
+from fastband.fftconv import _next_fast_len_real
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +187,72 @@ def test_autocorrelate_layout():
     # A(j) = sum_i c_i c_{i+j}, zero offset at index M - 1 = 3.
     expect = [3.0, 6.0, 2.0, 14.0, 2.0, 6.0, 3.0]
     assert np.allclose(out, expect, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the numpy.fft route against scipy.fft
+# ---------------------------------------------------------------------------
+# The transforms run through numpy.fft; scipy.fft, which the library no
+# longer imports, is the oracle.  Both wrap the same pocketfft code, so
+# every output must match bit for bit.
+
+def _scipy_autocorrelate(counts):
+    padded = tuple(sfft.next_fast_len(2 * m - 1, real=True) for m in counts.shape)
+    spec = sfft.rfftn(counts, s=padded)
+    circular = sfft.irfftn(spec.real ** 2 + spec.imag ** 2, s=padded)
+    offsets = [np.arange(1 - m, m) % p for m, p in zip(counts.shape, padded)]
+    return circular[np.ix_(*offsets)]
+
+
+def _scipy_convolve(counts, kernel, padded):
+    counts_fft = sfft.rfftn(counts, s=padded)
+    # Bound to a name: a temporary right operand lets numpy reuse its
+    # buffer and swap the factors, and a swapped complex product can
+    # round differently.
+    kernel_fft = sfft.rfftn(kernel, s=padded)
+    full = sfft.irfftn(counts_fft * kernel_fft, s=padded)
+    halfwidths = [(k - 1) // 2 for k in kernel.shape]
+    return full[tuple(slice(l, l + m) for l, m in zip(halfwidths, counts.shape))]
+
+
+def test_next_fast_len_real_matches_scipy():
+    got = [_next_fast_len_real(n) for n in range(1, 10 ** 5 + 1)]
+    assert got == [sfft.next_fast_len(n, real=True) for n in range(1, 10 ** 5 + 1)]
+
+
+@pytest.mark.parametrize("shape", [
+    (7,), (300,), (338,), (675,), (150, 150), (300, 300), (151, 77),
+    (9, 10, 11), (20, 21, 22), (25, 24, 18, 15), (6, 7, 8, 9),
+])
+def test_autocorrelate_matches_scipy_bitwise(rng, shape):
+    counts = rng.poisson(3.0, shape).astype(float)
+    assert np.array_equal(autocorrelate(counts), _scipy_autocorrelate(counts))
+
+
+@pytest.mark.parametrize("shape, kshape", [
+    ((50,), (11,)), ((150,), (299,)), ((150, 150), (41, 61)), ((151, 150), (301, 299)),
+    ((20, 21, 22), (7, 9, 11)), ((6, 7, 5, 9), (5, 7, 3, 9)),
+])
+def test_convolve_matches_scipy_bitwise(rng, shape, kshape):
+    counts = rng.poisson(3.0, shape).astype(float)
+    kernel = rng.random(kshape)
+    halfwidths = [(k - 1) // 2 for k in kshape]
+    for padded in (padded_size_truncated(shape, halfwidths), padded_size_full(shape)):
+        expect = _scipy_convolve(counts, kernel, padded)
+        assert np.array_equal(convolve(counts, kernel, padded_shape=padded), expect)
+        cache = CountsFftCache(counts)
+        assert np.array_equal(cache.get(padded), sfft.rfftn(counts, s=padded))
+        cached = convolve(counts, kernel, padded_shape=padded, counts_fft=cache.get(padded))
+        assert np.array_equal(cached, expect)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(fastband.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fastband, fastband.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -317,8 +317,11 @@ def test_bandwidth_matrix_scaled_rejects_bad_factors():
     for factor in (0.0, -1.0, np.nan):
         with pytest.raises(NotPositiveDefinite):
             bw.scaled(factor)
-    with pytest.raises(SingularBandwidth):
-        bw.scaled(1e-160)
+    # Beyond the determinant's range either way, including a factor^d
+    # that overflows a Python float.
+    for factor in (1e-160, 1e-200, 1e200):
+        with pytest.raises(SingularBandwidth):
+            bw.scaled(factor)
 
 
 # ---------------------------------------------------------------------------
