@@ -9,7 +9,8 @@ the counts, which one real FFT pair per sample computes.  Computed
 three ways:
 
 * ``direct-binned``   explicit convolution over kernel offsets (the oracle)
-* ``fft-M``           dot product of ``A`` with the full-range kernel
+* ``fft-M``           ``A`` summed against the full-range kernel, over the
+                      half space ``j_1 >= 0`` with ``A`` folded onto it
 * ``fft-L``           the same with the kernel cut at tau standard deviations
 
 The first two agree to machine precision.  The third trades a small,

@@ -3,10 +3,11 @@
 The package builds kernel density estimates on regular grids: samples
 are linearly binned, cross-validation kernels are tabulated on grid
 offsets, and the pairwise double sums behind least-squares
-cross-validation become one dot product of the kernel table with the
-count autocorrelation, which a single real FFT pair per sample gives.  A
-Nelder-Mead search over log-Cholesky coordinates then minimizes the
-objective over all symmetric positive definite bandwidth matrices.
+cross-validation become one sum of the kernel table's half space
+against the count autocorrelation folded onto it, which a single real
+FFT pair per sample gives.  A Nelder-Mead search over log-Cholesky
+coordinates then minimizes the objective over all symmetric positive
+definite bandwidth matrices.
 Integrated density derivative functionals of higher order ride the same
 machinery through the eta contractions of Gaussian derivatives.
 """

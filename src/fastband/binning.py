@@ -60,6 +60,26 @@ class GridSpec:
         delta.flags.writeable = False
         return delta
 
+    @cached_property
+    def steps(self):
+        """Node spacing per axis as Python floats (cached)."""
+        return tuple(self.delta.tolist())
+
+    @cached_property
+    def offsets(self):
+        """Node offsets per axis, ``delta_k * [-(M_k - 1), ..., M_k - 1]`` (cached).
+
+        One read-only vector per axis, shaped to broadcast along axis
+        ``k`` of a ``d``-D array, the zero offset at index ``M_k - 1``.
+        A kernel box of half-widths ``L`` slices its offsets from these.
+        """
+        axes = []
+        for k, (dk, mk) in enumerate(zip(self.delta, self.shape)):
+            axis = (dk * np.arange(1 - mk, mk)).reshape((-1,) + (1,) * (self.d - 1 - k))
+            axis.flags.writeable = False
+            axes.append(axis)
+        return tuple(axes)
+
     def axis_nodes(self, k):
         """Node coordinates along axis ``k``."""
         return np.linspace(self.lo[k], self.hi[k], self.shape[k])
@@ -70,7 +90,7 @@ class GridCounts:
     """Linear-binning weights attached to the grid they live on.
 
     The counts are treated as fixed once attached: the autocorrelation
-    is computed on first use and cached.
+    and its folded half are computed on first use and cached.
     """
 
     grid: GridSpec
@@ -85,6 +105,24 @@ class GridCounts:
     def autocorrelation(self):
         """Count autocorrelation over all offsets, see :func:`autocorrelate`."""
         return autocorrelate(self.counts)
+
+    @cached_property
+    def folded_autocorrelation(self):
+        """The autocorrelation ``A`` folded onto the half space ``j_1 >= 0`` (cached).
+
+        ``W(j) = A(j) + A(-j)`` for ``j_1 > 0`` and ``(A(j) + A(-j)) / 2``
+        on the slab ``j_1 = 0``, so ``sum_j A(j) k(j) = sum_{j_1 >= 0}
+        W(j) k(j)`` for every even ``k``.  Since ``0 <= A(j) <= A(0)``,
+        ``0 <= W(j) <= 2 A(0)``.  Shape ``(M_1, 2 M_2 - 1, ..., 2 M_d -
+        1)``, the zero offset at index ``(0, M_2 - 1, ..., M_d - 1)``;
+        read-only.
+        """
+        a = self.autocorrelation
+        m = self.counts.shape[0]
+        folded = a[m - 1:] + np.flip(a)[m - 1:]
+        folded[0] *= 0.5
+        folded.flags.writeable = False
+        return folded
 
 
 def make_grid(x, shape, margin_fraction=0.05):

@@ -62,16 +62,21 @@ def effective_halfwidths(lambda_max, delta, shape, tau=DEFAULT_TAU):
     tuple of int
         Half-width ``L_k`` per axis, each at least 1.
     """
+    delta = np.asarray(delta, dtype=float).ravel().tolist()
+    if len(delta) != len(shape):
+        raise ShapeMismatch("delta and shape must agree in dimension")
+    return _halfwidths(lambda_max, delta, shape, tau)
+
+
+def _halfwidths(lambda_max, steps, shape, tau):
+    """:func:`effective_halfwidths` for ``steps``, a sequence of Python floats."""
     if lambda_max <= 0:
         raise OutOfRange("lambda_max must be positive")
     if tau <= 0:
         raise OutOfRange("tau must be positive")
-    delta = np.asarray(delta, dtype=float).ravel().tolist()
-    if len(delta) != len(shape):
-        raise ShapeMismatch("delta and shape must agree in dimension")
     radius = tau * math.sqrt(lambda_max)
-    return tuple(max(1, min(int(mk) - 1, math.ceil(radius / dk)))
-                 for dk, mk in zip(delta, shape))
+    return tuple([max(1, min(int(mk) - 1, math.ceil(radius / dk)))
+                  for dk, mk in zip(steps, shape)])
 
 
 def _next_pow2(n):

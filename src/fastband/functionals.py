@@ -1,6 +1,7 @@
 """Cross-validation kernels and integrated density derivative functionals."""
 
 from functools import cached_property
+from string import ascii_letters
 
 import numpy as np
 
@@ -8,14 +9,13 @@ from .binning import GridCounts
 from .errors import OutOfRange, ShapeMismatch
 # ``convolve`` and ``normal_pdf`` are unused here; perfbench/tracing.py
 # patches them by these names.
-from .fftconv import DEFAULT_TAU, convolve, convolve_direct, effective_halfwidths
+from .fftconv import DEFAULT_TAU, _halfwidths, convolve, convolve_direct
 from .gaussian import (
     _as_points,
     _density_of_q,
     _peak,
     _whitened_sq,
     _whitened_sq_axes,
-    _whitened_sq_grid,
     eta_r,
     normal_pdf,
 )
@@ -75,9 +75,20 @@ def t_h(u, h):
 
 
 def _t_of_q(q, bw):
-    """``T_H`` from ``q = u^T H^-1 u``, see :func:`t_h`."""
-    e = np.exp(-0.25 * q)
-    return _peak(bw) * e * (2.0 ** (-bw.d / 2) - 2.0 * e)
+    """``T_H`` from the array ``q = u^T H^-1 u``, in place, see :func:`t_h`.
+
+    ``q`` is overwritten and returned, as ``e (a - b e)`` with the
+    Python floats ``a = 2^{-d/2} K_H(0)`` and ``b = 2 K_H(0)``: three
+    passes after the exponential, one temporary.
+    """
+    peak = _peak(bw)
+    e = q
+    e *= -0.25
+    np.exp(e, out=e)
+    gap = e * (-2.0 * peak)
+    gap += 2.0 ** (-bw.d / 2) * peak
+    e *= gap
+    return e
 
 
 def kh_zero(h):
@@ -113,37 +124,50 @@ def _offset_axes(grid, lambda_max, mode, tau):
 
     ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
     box from ``lambda_max``, the largest eigenvalue of the widest
-    Gaussian tabulated (see :func:`effective_halfwidths`).
+    Gaussian tabulated (see :func:`effective_halfwidths`).  The vectors
+    are read-only slices of ``grid.offsets``, each shaped to broadcast
+    along its axis.
     """
     if mode not in PSI_MODES:
         raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
     if mode == "fft-L":
-        halfwidths = effective_halfwidths(lambda_max, grid.delta, grid.shape, tau)
+        halfwidths = _halfwidths(lambda_max, grid.steps, grid.shape, tau)
     else:
         halfwidths = tuple(m - 1 for m in grid.shape)
-    axes = [dk * np.arange(-lk, lk + 1) for dk, lk in zip(grid.delta, halfwidths)]
+    axes = [off[m - 1 - l:m + l] for off, m, l in zip(grid.offsets, grid.shape, halfwidths)]
     return halfwidths, axes
 
 
 def _tabulate(func, grid, lambda_max, mode, tau):
-    """Evaluate ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
+    """Evaluate an even ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
 
     ``func`` maps a ``(P, d)`` matrix of offsets to kernel values; the
-    box is that of :func:`_offset_axes`.
+    box is that of :func:`_offset_axes`.  Every kernel tabulated here is
+    even (a Gaussian's derivatives of even order), so ``func`` is
+    evaluated over the half space ``j_1 >= 0`` only and the slab ``j_1 <
+    0`` is that half mirrored through the origin.
     """
     halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
+    l1 = halfwidths[0]
+    axes = [a.ravel() for a in axes]
+    axes[0] = axes[0][l1:]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    return np.asarray(func(pts)).reshape(tuple(2 * l + 1 for l in halfwidths))
+    table = np.empty([2 * l + 1 for l in halfwidths])
+    half = table[l1:]
+    half[...] = np.asarray(func(pts)).reshape(half.shape)
+    table[:l1] = np.flip(half[1:])
+    return table
 
 
 def _tabulate_of_q(of_q, bw, grid, lambda_max, mode, tau):
     """Tabulate a kernel given as a function of ``q = u^T H^-1 u``, ``H = bw``.
 
     Same box and layout as :func:`_tabulate`.  Such a kernel is even, so
-    ``q`` is built by broadcasting per-axis terms (see
-    :func:`_whitened_sq_grid`) over the half space ``j_1 >= 0`` only,
-    and the slab ``j_1 < 0`` is that half mirrored through the origin,
-    ``k(-j) = k(j)`` exactly.
+    ``q`` is built by broadcasting the per-axis offsets (see
+    :func:`_whitened_sq_axes`) over the half space ``j_1 >= 0`` only,
+    straight into that slab of the table, where ``of_q(q, bw)`` maps it
+    to the kernel in place.  The slab ``j_1 < 0`` is one copy of that half
+    mirrored through the origin, ``k(-j) = k(j)`` exactly.
 
     Raises
     ------
@@ -153,11 +177,15 @@ def _tabulate_of_q(of_q, bw, grid, lambda_max, mode, tau):
     if bw.d != grid.d:
         raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
     halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
-    axes[0] = axes[0][halfwidths[0]:]
+    l1 = halfwidths[0]
+    table = np.empty([2 * l + 1 for l in halfwidths])
+    half = table[l1:]
+    axes[0] = axes[0][l1:]
     # An overflowing quadratic form is inf, where every kernel here is 0.
     with np.errstate(over="ignore"):
-        half = of_q(_whitened_sq_grid(axes, bw))
-    return np.concatenate((np.flip(half[1:]), half))
+        of_q(_whitened_sq_axes(axes, bw, out=half), bw)
+    table[:l1] = np.flip(half[1:])
+    return table
 
 
 def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
@@ -174,10 +202,11 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
 
-    The order-0 ``"t"`` form depends on ``u`` only through
-    ``u^T H^-1 u``, so it is tabulated over the half space ``j_1 >= 0``
-    by broadcasting and mirrored, ``k(-j) = k(j)`` exactly; the
-    ``"eta"`` form and orders above 0 evaluate every offset as a point.
+    The kernel is even, so only the half space ``j_1 >= 0`` is
+    evaluated and the rest is mirrored, ``k(-j) = k(j)`` exactly.  The
+    order-0 ``"t"`` form depends on ``u`` only through ``u^T H^-1 u``,
+    so its half is tabulated by broadcasting; the ``"eta"`` form and
+    orders above 0 evaluate every offset of the half as a point.
 
     Returns
     -------
@@ -185,8 +214,7 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
     """
     bw = as_bandwidth(h)
     if form == "t" and r == 0:
-        return _tabulate_of_q(lambda q: _t_of_q(q, bw), bw, grid,
-                              2.0 * bw.lambda_max, mode, tau)
+        return _tabulate_of_q(_t_of_q, bw, grid, 2.0 * bw.lambda_max, mode, tau)
     if form == "t":
         form = "eta"
     return _tabulate(lambda u: cv_kernel(u, bw, r=r, form=form),
@@ -196,13 +224,13 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
     """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above.
 
-    At ``r == 0`` this is the Gaussian density, tabulated over the half
-    space and mirrored as in :func:`build_kernel_grid`.
+    Every order is evaluated over the half space ``j_1 >= 0`` and
+    mirrored as in :func:`build_kernel_grid`; at ``r == 0``, the
+    Gaussian density, by broadcasting.
     """
     bw = as_bandwidth(sigma)
     if r == 0:
-        return _tabulate_of_q(lambda q: _density_of_q(q, bw), bw, grid,
-                              bw.lambda_max, mode, tau)
+        return _tabulate_of_q(_density_of_q, bw, grid, bw.lambda_max, mode, tau)
     return _tabulate(lambda u: eta_r(u, bw, r), grid, bw.lambda_max, mode, tau)
 
 
@@ -211,20 +239,32 @@ def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
 # ---------------------------------------------------------------------------
 
 def _binned_vstat(gc, kernel, mode):
-    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for a tabulated kernel.
+    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for a tabulated even kernel.
 
     ``"direct-binned"`` convolves offset by offset.  The FFT modes use
     the identity ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)`` with the
-    cached count autocorrelation ``A``, restricted to the kernel's box.
+    count autocorrelation ``A``, restricted to the kernel's box ``B``.
+    For an even ``k`` that sum is ``sum_{j in B, j_1 >= 0} W(j)
+    k(delta j)`` with the cached folded table ``W``
+    (``GridCounts.folded_autocorrelation``): half the multiply-adds,
+    read in place by ``np.einsum``, which sums in numpy's own loop, so
+    no BLAS call is made and the result does not depend on the BLAS
+    thread count.  The terms dropped outside ``B`` are then at most
+    ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
+    absolute value, since ``0 <= W <= 2 A(0)`` and ``A(0) = sum c^2``.
     """
     counts = gc.counts
     n = gc.n
     if mode == "direct-binned":
         pair_sum = np.sum(counts * convolve_direct(counts, kernel))
     else:
-        halfwidths = ((s - 1) // 2 for s in kernel.shape)
-        box = tuple(slice(m - 1 - l, m + l) for m, l in zip(counts.shape, halfwidths))
-        pair_sum = np.vdot(gc.autocorrelation[box], kernel)
+        l1 = (kernel.shape[0] - 1) // 2
+        box = [slice(0, l1 + 1)]
+        box += [slice(m - 1 - (s - 1) // 2, m + (s - 1) // 2)
+                for m, s in zip(counts.shape[1:], kernel.shape[1:])]
+        axes = ascii_letters[:kernel.ndim]
+        pair_sum = np.einsum(f"{axes},{axes}->", gc.folded_autocorrelation[tuple(box)],
+                             kernel[l1:])
     return float(pair_sum / (n * n))
 
 
@@ -234,17 +274,21 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
     binning: with counts ``c`` and the tabulated kernel ``k``, returns
     ``n^-2 sum_i c_i (c * k)_i``, which equals ``n^-2 sum_j k(delta j)
-    A(j)`` with ``A`` the autocorrelation of the counts.  The FFT modes
-    evaluate the second form from ``gc.autocorrelation``, computed once
-    per sample, so each call costs one kernel tabulation and one dot
-    product; ``"direct-binned"`` evaluates the first form without any
-    transform.
+    A(j)`` with ``A`` the autocorrelation of the counts.  The kernel is
+    even, so that is ``n^-2 sum_{j_1 >= 0} k(delta j) W(j)`` with ``W``
+    the autocorrelation folded onto the half space ``j_1 >= 0``
+    (``gc.folded_autocorrelation``, computed once per sample).  The FFT
+    modes evaluate this last form, so each call costs one kernel
+    tabulation and one sum over half the table, made without BLAS (see
+    :func:`_binned_vstat`); ``"direct-binned"`` evaluates the first form
+    without any transform.
 
     ``"fft-L"`` equals ``"fft-M"`` minus exactly the terms at offsets
     outside its box ``B`` (see :func:`build_kernel_grid`).  The dropped
-    part ``n^-2 sum_{j not in B} k(delta j) A(j)`` is at most
-    ``(sum c^2 / n^2) sum_{j not in B} |k(delta j)|`` in absolute
-    value, since ``0 <= A(j) <= A(0) = sum c^2``.
+    part ``n^-2 sum_{j not in B, j_1 >= 0} k(delta j) W(j)`` is at most
+    ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
+    absolute value, since ``0 <= W(j) <= 2 A(0)`` and ``A(0) = sum
+    c^2``.
 
     Parameters
     ----------
@@ -427,9 +471,12 @@ def psi_direct(x, h, r=0, form="t"):
     """
     bw = as_bandwidth(h)
     if form == "t" and r == 0:
-        # An overflowing quadratic form gives the kernel's limit, 0.
+        # T_H(0) = K_H(0) (2^{-d/2} - 2) in Python floats: e = exp(-0.0)
+        # is exactly 1.  An overflowing quadratic form gives the kernel's
+        # limit, 0.
+        at_zero = _peak(bw) * (2.0 ** (-bw.d / 2) - 2.0)
         with np.errstate(over="ignore"):
-            return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), _t_of_q(0.0, bw))
+            return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), at_zero)
     if form == "t":
         form = "eta"
     return _pairwise_vstat(x, bw, lambda u: np.sum(cv_kernel(u.T, bw, r=r, form=form)),

@@ -44,7 +44,7 @@ def _whitened_sq(x, bw):
     return np.einsum("ij,ij->i", z, z)
 
 
-def _whitened_sq_axes(terms, bw):
+def _whitened_sq_axes(terms, bw, out=None):
     """Quadratic form ``u^T H^-1 u`` from per-axis terms ``terms[k] = u_k``.
 
     The whitening of :func:`_whitened_sq`, one coordinate at a time:
@@ -52,31 +52,27 @@ def _whitened_sq_axes(terms, bw):
     result is ``sum_m z_m^2``.  ``W`` is upper triangular, so ``z_m``
     only sums ``k <= m``.  The terms may be any arrays that broadcast
     together, such as the rows of a ``(d, p)`` block of difference
-    vectors or 1-D offsets laid along grid axes.  Negating every term
-    negates every ``z_m`` exactly, so ``q(-u) == q(u)`` bitwise.
+    vectors or 1-D offsets laid along grid axes (``z_0`` then stays
+    1-D).  Negating every term negates every ``z_m`` exactly, so
+    ``q(-u) == q(u)`` bitwise.  ``out``, shaped as the broadcast
+    result, receives the last ``z_m`` and then the sum, in place, with
+    the same bits.
     """
     w = bw.whiten
     q = None
     for m in range(bw.d):
-        z = terms[0] * w[0, m]
-        for k in range(1, m + 1):
-            z = z + terms[k] * w[k, m]
-        # z is a new array whose shape spans every axis q spans.
+        into = out if m == bw.d - 1 else None
+        if m == 0:
+            z = np.multiply(terms[0], w[0, 0], out=into)
+        else:
+            z = terms[0] * w[0, m]
+            for k in range(1, m):
+                z = z + terms[k] * w[k, m]
+            z = np.add(z, terms[m] * w[m, m], out=into)
+        # z is a new array or out, and its shape spans every axis q spans.
         z *= z
         q = z if q is None else np.add(q, z, out=z)
     return q
-
-
-def _whitened_sq_grid(axes, bw):
-    """Quadratic form ``u^T H^-1 u`` on the product grid of 1-D ``axes``.
-
-    Each ``axes[k]`` is laid along grid axis ``k`` and the terms are
-    broadcast by :func:`_whitened_sq_axes`, giving shape
-    ``(len(axes[0]), ..., len(axes[d-1]))``; ``z_0`` stays 1-D.
-    """
-    d = len(axes)
-    return _whitened_sq_axes(
-        [a.reshape((-1,) + (1,) * (d - 1 - k)) for k, a in enumerate(axes)], bw)
 
 
 def _peak(bw):
@@ -85,8 +81,14 @@ def _peak(bw):
 
 
 def _density_of_q(q, bw):
-    """Gaussian density ``K_H(0) exp(-q / 2)`` from the quadratic form ``q``."""
-    return _peak(bw) * np.exp(-0.5 * q)
+    """Gaussian density ``K_H(0) exp(-q / 2)`` from the array ``q``, in place.
+
+    ``q`` is the quadratic form; it is overwritten and returned.
+    """
+    q *= -0.5
+    np.exp(q, out=q)
+    q *= _peak(bw)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -188,51 +188,54 @@ def exact_ise(x, h, mix):
 # built-in targets
 # ---------------------------------------------------------------------------
 
-def _catalog():
-    eye = np.eye(2)
-    return {
-        # Single standard Gaussian.
-        "standard": NormalMixture([1.0], [[0.0, 0.0]], [eye]),
-        # Single Gaussian with strong positive correlation.
-        "correlated": NormalMixture(
-            [1.0], [[0.0, 0.0]], [[[1.0, 0.7], [0.7, 1.0]]]
-        ),
-        # Two well-separated equal balls.
-        "bimodal": NormalMixture(
-            [0.5, 0.5],
-            [[-2.0, 0.0], [2.0, 0.0]],
-            [0.5 * eye, 0.5 * eye],
-        ),
-        # Dominant broad component plus a smaller skewed one.
-        "asymmetric-bimodal": NormalMixture(
-            [0.75, 0.25],
-            [[-1.0, 0.0], [1.5, 1.0]],
-            [eye, [[0.49, 0.21], [0.21, 0.25]]],
-        ),
-        # Three modes of unequal weight and shape.
-        "trimodal": NormalMixture(
-            [0.4, 0.35, 0.25],
-            [[-1.5, -1.0], [1.5, -1.0], [0.0, 1.8]],
-            [0.4 * eye, [[0.5, -0.2], [-0.2, 0.4]], 0.3 * eye],
-        ),
-        # Broad background plus a sharply concentrated spike holding a
-        # tenth of the mass: the spike covariance is 4 I scaled by 1e-3,
-        # narrow enough that coarse grids cannot resolve it.
-        "fragile": NormalMixture(
-            [0.9, 0.1],
-            [[0.0, 0.0], [0.8, 0.8]],
-            [eye, 0.004 * eye],
-        ),
-    }
+_EYE = np.eye(2)
+_EYE.flags.writeable = False
+
+# Built-in targets, one factory per name, so a lookup constructs and
+# validates only the mixture it returns.
+_CATALOG = {
+    # Single standard Gaussian.
+    "standard": lambda: NormalMixture([1.0], [[0.0, 0.0]], [_EYE]),
+    # Single Gaussian with strong positive correlation.
+    "correlated": lambda: NormalMixture(
+        [1.0], [[0.0, 0.0]], [[[1.0, 0.7], [0.7, 1.0]]]
+    ),
+    # Two well-separated equal balls.
+    "bimodal": lambda: NormalMixture(
+        [0.5, 0.5],
+        [[-2.0, 0.0], [2.0, 0.0]],
+        [0.5 * _EYE, 0.5 * _EYE],
+    ),
+    # Dominant broad component plus a smaller skewed one.
+    "asymmetric-bimodal": lambda: NormalMixture(
+        [0.75, 0.25],
+        [[-1.0, 0.0], [1.5, 1.0]],
+        [_EYE, [[0.49, 0.21], [0.21, 0.25]]],
+    ),
+    # Three modes of unequal weight and shape.
+    "trimodal": lambda: NormalMixture(
+        [0.4, 0.35, 0.25],
+        [[-1.5, -1.0], [1.5, -1.0], [0.0, 1.8]],
+        [0.4 * _EYE, [[0.5, -0.2], [-0.2, 0.4]], 0.3 * _EYE],
+    ),
+    # Broad background plus a sharply concentrated spike holding a
+    # tenth of the mass: the spike covariance is 4 I scaled by 1e-3,
+    # narrow enough that coarse grids cannot resolve it.
+    "fragile": lambda: NormalMixture(
+        [0.9, 0.1],
+        [[0.0, 0.0], [0.8, 0.8]],
+        [_EYE, 0.004 * _EYE],
+    ),
+}
 
 
 def catalog_names():
     """Names accepted by :func:`mixture_catalog`."""
-    return tuple(sorted(_catalog()))
+    return tuple(sorted(_CATALOG))
 
 
 def mixture_catalog(name):
-    """Look up a built-in mixture by name.
+    """Build a built-in mixture by name; each call returns a new object.
 
     The catalog spans the usual qualitative shapes: ``"standard"``,
     ``"correlated"``, ``"bimodal"``, ``"asymmetric-bimodal"``,
@@ -245,11 +248,12 @@ def mixture_catalog(name):
         If the name is not in the catalog.
     """
     try:
-        return _catalog()[name]
+        build = _CATALOG[name]
     except KeyError:
         raise UnknownModel(
             f"unknown mixture {name!r}; choose from {', '.join(catalog_names())}"
         ) from None
+    return build()
 
 
 def load_mixture(path):

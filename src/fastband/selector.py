@@ -202,6 +202,13 @@ def dedup(x):
     the diagonal of the selected ``H`` is 4 to 9 times that selected on
     the unrounded points.
 
+    The rows are sorted by a column ``lexsort`` (first column first)
+    and a row is dropped when it equals the row before it, so the result
+    has the rows and the order of ``np.unique(x, axis=0)``.  Rows that
+    differ only in the sign of a zero compare equal; of those the first
+    in ``x`` is kept, where ``np.unique`` may keep either.  A row with a
+    NaN equals no row and is kept, as ``np.unique`` keeps it.
+
     Returns
     -------
     (m, d) ndarray of the distinct rows.
@@ -212,7 +219,11 @@ def dedup(x):
         If fewer than two distinct rows remain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = np.unique(x, axis=0)
+    # Rows without columns are all equal; lexsort needs at least one key.
+    rows = x[np.lexsort(x.T[::-1])] if x.shape[1] else x
+    keep = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    out = rows[keep]
     if out.shape[0] < 2:
         raise AllDuplicates("sample collapses to fewer than two distinct points")
     return out
@@ -414,9 +425,11 @@ def select_bandwidth(x, config=None):
     simplex started at the normal-scale bandwidth.  The binned modes
     bin the sample; the FFT modes transform the counts once, on the
     first evaluation, and every later evaluation is a kernel
-    tabulation and a dot product.  ``"direct-exact"`` builds the
-    sample's ``PairDifferences`` once, on the first evaluation, and
-    every evaluation sums the kernel over its ``n (n - 1) / 2`` pairs.
+    tabulation and one sum over its half space (see
+    :func:`~fastband.functionals.psi_binned`).  ``"direct-exact"``
+    builds the sample's ``PairDifferences`` once, on the first
+    evaluation, and every evaluation sums the kernel over its
+    ``n (n - 1) / 2`` pairs.
 
     Parameters
     ----------

@@ -60,6 +60,19 @@ def test_grid_spec_delta_is_cached_and_read_only():
         g.delta[0] = 1.0
 
 
+def test_grid_spec_offsets_and_steps_are_cached():
+    g = GridSpec(lo=[0.0, -1.0, 2.0], hi=[1.0, 1.0, 2.7], shape=(5, 3, 8))
+    assert g.steps is g.steps and g.offsets is g.offsets
+    assert g.steps == tuple(g.delta.tolist())
+    assert all(type(step) is float for step in g.steps)
+    for k, (off, m) in enumerate(zip(g.offsets, g.shape)):
+        assert off.shape == (2 * m - 1,) + (1,) * (g.d - 1 - k)
+        assert np.array_equal(off.ravel(), g.delta[k] * np.arange(1 - m, m))
+        assert off.ravel()[m - 1] == 0.0
+        with pytest.raises(ValueError):
+            off[0] = 1.0
+
+
 def test_grid_spec_validation():
     with pytest.raises(OutOfRange):
         GridSpec(lo=[0.0], hi=[1.0], shape=(1,))
@@ -141,6 +154,24 @@ def test_autocorrelation_computed_once_per_grid_counts(rng, monkeypatch):
     assert calls == [(20, 20)]
     linear_binning(x, gc.grid).autocorrelation
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d, m", [(1, 9), (1, 10), (2, 7), (3, 5)])
+def test_folded_autocorrelation_sums_even_kernels_like_the_full_table(rng, d, m):
+    x = rng.standard_normal((60, d))
+    gc = linear_binning(x, make_grid(x, (m,) * d))
+    a, w = gc.autocorrelation, gc.folded_autocorrelation
+    assert w is gc.folded_autocorrelation and not w.flags.writeable
+    assert w.shape == (m,) + a.shape[1:]
+    ref = a[m - 1:] + np.flip(a)[m - 1:]
+    ref[0] /= 2.0
+    assert np.array_equal(w, ref)
+    # 0 <= W <= 2 A(0), up to the transform's round-off.
+    a0 = a[(m - 1,) * d]
+    assert np.all(w >= -1e-12 * a0) and np.all(w <= 2.0 * a0 * (1.0 + 1e-12))
+    k = rng.random(a.shape)
+    k += np.flip(k)
+    assert np.sum(w * k[m - 1:]) == pytest.approx(np.sum(a * k), rel=1e-13)
 
 
 def test_binning_matches_loop_oracle(rng):

@@ -191,8 +191,9 @@ def _offset_points(grid, shape):
 @pytest.mark.parametrize("shape", [(31,), (40,), (15, 22), (9, 12, 11)])
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_half_space_tables_match_pointwise_kernels(rng, shape, mode):
-    # The broadcast half-space tables against the kernels evaluated at
-    # every meshgrid offset; tau = 2 makes the fft-L box truncate.
+    # The mirrored half-space tables (broadcast at r = 0, point by point
+    # at r = 2) against the kernels evaluated at every meshgrid offset;
+    # tau = 2 makes the fft-L box truncate.
     d = len(shape)
     x = rng.standard_normal((80, d))
     grid = make_grid(x, shape)
@@ -202,6 +203,10 @@ def test_half_space_tables_match_pointwise_kernels(rng, shape, mode):
         (build_kernel_grid(grid, h, mode=mode, tau=2.0), lambda u: t_h(u, h),
          2.0 * bw.lambda_max),
         (eta_kernel_grid(grid, h, 0, mode=mode, tau=2.0), lambda u: normal_pdf(u, h),
+         bw.lambda_max),
+        (build_kernel_grid(grid, h, r=2, mode=mode, tau=2.0),
+         lambda u: cv_kernel(u, h, r=2, form="eta"), 2.0 * bw.lambda_max),
+        (eta_kernel_grid(grid, h, 2, mode=mode, tau=2.0), lambda u: eta_r(u, h, 2),
          bw.lambda_max),
     ):
         if mode == "fft-L":
@@ -426,6 +431,22 @@ def test_t_block_sums_match_an_exactly_rounded_sum(rng, monkeypatch, d):
             expected = peak * (c * sum_e - 2.0 * sum_e2)
             tol = 1e-13 * peak * (c * sum_e + 2.0 * sum_e2)
             assert abs(functionals._t_sum(block, bw) - expected) <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_psi_direct_at_zero_term_keeps_its_bits(rng, d):
+    # psi_direct is (n T_H(0) + 2 sum_{i<j} T_H) / n^2 to the bit, with
+    # T_H(0) the array expression K_H(0) e (2^{-d/2} - 2 e) at
+    # e = exp(-0.0) = 1.
+    x = rng.standard_normal((30, d))
+    n = x.shape[0]
+    for scale in (1e-3, 0.3, 40.0):
+        bw = BandwidthMatrix(random_spd(rng, d, scale=scale))
+        e = np.exp(-0.25 * np.zeros(1))
+        at_zero = float((kh_zero(bw) * e * (2.0 ** (-d / 2) - 2.0 * e))[0])
+        pairs = sum(float(functionals._t_sum(b, bw)) for b in PairDifferences(x).blocks)
+        for data in (x, PairDifferences(x)):
+            assert psi_direct(data, bw) == (n * at_zero + 2.0 * pairs) / (n * n)
 
 
 def test_psi_direct_near_singular_bandwidth_is_finite_without_warning(rng):

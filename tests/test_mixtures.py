@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import fastband.mixtures
+
 from fastband import (
     BandwidthMatrix,
     NormalMixture,
@@ -190,6 +192,33 @@ def test_catalog_contents():
 def test_catalog_unknown_name():
     with pytest.raises(UnknownModel):
         mixture_catalog("nonexistent")
+
+
+def test_catalog_builds_a_fresh_mixture_per_call():
+    assert catalog_names() == ("asymmetric-bimodal", "bimodal", "correlated",
+                               "fragile", "standard", "trimodal")
+    for name in catalog_names():
+        a, b = mixture_catalog(name), mixture_catalog(name)
+        assert a is not b
+        for u, v in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs)):
+            assert u is not v and np.array_equal(u, v)
+    mixture_catalog("standard").covs[0, 0, 0] = 5.0
+    assert mixture_catalog("standard").covs[0, 0, 0] == 1.0
+
+
+def test_catalog_lookup_builds_only_the_requested_mixture(monkeypatch):
+    built = []
+    real = fastband.mixtures.NormalMixture
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fastband.mixtures, "NormalMixture", counting)
+    catalog_names()
+    assert built == []
+    assert mixture_catalog("trimodal").q == 3
+    assert len(built) == 1
 
 
 def test_load_mixture_roundtrip(tmp_path):

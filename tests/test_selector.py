@@ -75,6 +75,20 @@ def test_dedup_removes_repeats():
 def test_dedup_requires_two_distinct_points():
     with pytest.raises(AllDuplicates):
         dedup(np.ones((5, 2)))
+    with pytest.raises(AllDuplicates):
+        dedup(np.tile([[1.5, -2.0, 0.0]], (7, 1)))
+    with pytest.raises(AllDuplicates):
+        dedup(np.empty((4, 0)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dedup_matches_numpy_unique_rows(d):
+    # Same rows in the same lexicographic order as np.unique(axis=0), on
+    # distinct and on tied (rounded) samples.
+    for seed in range(4):
+        x = np.random.default_rng([d, seed]).standard_normal((400, d))
+        for y in (x, np.round(x, 1), np.round(x)):
+            assert np.array_equal(dedup(y), np.unique(y, axis=0))
 
 
 def test_normal_scale_start_formula(rng):
@@ -430,18 +444,50 @@ print(res.h.tobytes().hex(), res.n_evals, res.objective.hex())
 """
 
 
-def test_direct_exact_selection_does_not_depend_on_blas_threads():
-    # Each block of an n = 150 sample holds 11,175 pairs, above the size
-    # at which a BLAS reduction would split across threads.
+def _outputs_by_blas_threads(code):
+    """stdout of ``code`` run in fresh interpreters with 1 and with 2 BLAS threads."""
     src = str(Path(fastband.__file__).resolve().parents[1])
     out = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _EXACT_SELECTION], env=env,
+        run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         out[threads] = run.stdout
+    return out
+
+
+def test_direct_exact_selection_does_not_depend_on_blas_threads():
+    # Each block of an n = 150 sample holds 11,175 pairs, above the size
+    # at which a BLAS reduction would split across threads.
+    out = _outputs_by_blas_threads(_EXACT_SELECTION)
+    assert out["1"] == out["2"]
+
+
+_BINNED_SELECTION = """
+import numpy as np
+from fastband import (SelectorConfig, build_kernel_grid, linear_binning, make_grid,
+                      mixture_catalog, normal_scale_start, psi_binned, sample_mixture,
+                      select_bandwidth)
+from fastband.selector import dedup
+x = dedup(sample_mixture(mixture_catalog("bimodal"), 2000, np.random.default_rng(14)))
+gc = linear_binning(x, make_grid(x, (150, 150)))
+h0 = normal_scale_start(x)
+for mode in ("fft-M", "fft-L"):
+    size = build_kernel_grid(gc.grid, h0, mode=mode).size
+    res = select_bandwidth(x, SelectorConfig(mode=mode, grid_size=150))
+    print(mode, size, psi_binned(gc, h0, mode=mode).hex(), res.h.tobytes().hex(),
+          res.n_evals, res.objective.hex())
+"""
+
+
+def test_fft_selection_does_not_depend_on_blas_threads():
+    # At the normal-scale start both kernel tables exceed 10^4 entries,
+    # the size above which a BLAS dot product splits across threads.
+    out = _outputs_by_blas_threads(_BINNED_SELECTION)
+    sizes = [int(line.split()[1]) for line in out["1"].splitlines()]
+    assert len(sizes) == 2 and min(sizes) > 10_000
     assert out["1"] == out["2"]
 
 
