@@ -3,10 +3,14 @@ Gaussian derivative tensors and density functionals
 ===================================================
 
 Higher-order selectors need integrated density derivative functionals.
-The building block is the full tensor of Gaussian partial derivatives,
-generated by a two-term recursion, contracted against direction
-matrices to give the scalar kernels eta_r.  The pairwise V-statistic
-Q_r built from them has a binned form that converges to the exact sum
+Their kernels eta_r are iterated Laplacians of the Gaussian density.
+In the eigenbasis of the covariance the density is a product of 1-D
+Gaussians, so eta_r is the density times a short sum of products of
+1-D Hermite polynomials.  The general-weight engine behind eta_rs is
+the full tensor of Gaussian partial derivatives, generated by a
+two-term recursion and contracted against direction matrices; with
+identity directions it gives eta_r again.  The pairwise V-statistic
+Q_r built from eta_r has a binned form that converges to the exact sum
 as the grid refines.
 """
 
@@ -14,6 +18,7 @@ import numpy as np
 
 from fastband import (
     eta_r,
+    eta_rs,
     gaussian_derivative_vector,
     linear_binning,
     make_grid,
@@ -38,12 +43,15 @@ for order in (0, 1, 2):
 # The order-2 tensor is symmetric, as mixed partials must be.
 
 # ----------------------------------------------------------------------
-# Scalar contractions eta_r
+# Scalar kernels eta_r
 # ----------------------------------------------------------------------
 
 print("\neta_0 at origin (the density itself):", eta_r(np.zeros(2), sigma, 0))
 print("eta_1 at origin, identity direction :", eta_r(np.zeros(2), sigma, 1))
 print("eta_2 at origin, identity direction :", eta_r(np.zeros(2), sigma, 2))
+
+# The tensor engine, contracted with vec(I), gives the same values.
+print("eta_2 at origin from the tensor     :", eta_rs(np.zeros(2), sigma, 2, 0, np.eye(2)))
 
 # ----------------------------------------------------------------------
 # Q_r: binned estimates converge to the exact double sum

@@ -7,14 +7,14 @@ import numpy as np
 
 from .binning import GridCounts
 from .errors import OutOfRange, ShapeMismatch
-# ``convolve`` and ``normal_pdf`` are unused here; perfbench/tracing.py
-# patches them by these names.
+# ``convolve``, ``normal_pdf`` and ``eta_r`` are unused here;
+# perfbench/tracing.py patches them by these names.
 from .fftconv import DEFAULT_TAU, _halfwidths, convolve, convolve_direct
 from .gaussian import (
     _as_points,
-    _density_of_q,
+    _eta_axes,
+    _eta_zero,
     _peak,
-    _whitened_sq,
     _whitened_sq_axes,
     eta_r,
     normal_pdf,
@@ -66,12 +66,7 @@ def t_h(u, h):
     -------
     (n,) ndarray, or float for a single point.
     """
-    bw = as_bandwidth(h)
-    u, single = _as_points(u, bw.d)
-    # An overflowing quadratic form gives e = 0, the kernel's limit.
-    with np.errstate(over="ignore"):
-        val = _t_of_q(_whitened_sq(u, bw), bw)
-    return float(val[0]) if single else val
+    return cv_kernel(u, h)
 
 
 def _t_of_q(q, bw):
@@ -96,38 +91,51 @@ def kh_zero(h):
     return _peak(as_bandwidth(h))
 
 
-def cv_kernel(u, h, r=0, form="t"):
-    """Order-``r`` cross-validation kernel ``eta_r(u; 2H) - 2 eta_r(u; H)``.
+def cv_kernel(u, h, r=0):
+    """Order-``r`` CV kernel ``eta_r(u; 2H) - 2 eta_r(u; H)`` at points ``u``, see :func:`_cv_axes`.
 
-    For ``r == 0`` this equals :func:`t_h`.  The ``form`` switch picks
-    the computation route: ``"t"`` goes through the closed form of
-    :func:`t_h` and only exists at ``r == 0``; ``"eta"`` goes through
-    the derivative engine, with ``2H`` from ``BandwidthMatrix.scaled``,
-    and works at every order.  Both routes implement the same function.
+    :func:`t_h` at ``r == 0``.  An ``(n,)`` array, or a float for a single point.
     """
-    if form == "t":
-        if r != 0:
-            raise OutOfRange("the t form of the kernel is only defined at r = 0")
-        return t_h(u, h)
-    if form != "eta":
-        raise OutOfRange(f"unknown kernel form {form!r}")
     bw = as_bandwidth(h)
-    return eta_r(u, bw.scaled(2.0), r) - 2.0 * eta_r(u, bw, r)
+    u, single = _as_points(u, bw.d)
+    # An overflowing quadratic form gives the kernel's limit, 0.
+    with np.errstate(over="ignore"):
+        val = _cv_axes(u.T, bw, r)
+    return float(val[0]) if single else val
+
+
+def _cv_axes(terms, bw, r, out=None):
+    """:func:`cv_kernel` from per-axis terms, as in :func:`~fastband.gaussian._eta_axes`.
+
+    At ``r == 0``, :func:`t_h` of the whitening ``u^T H^-1 u``.  Above
+    0, ``2H`` is ``BandwidthMatrix.scaled``, whose eigendecomposition is
+    that of ``H`` with doubled eigenvalues, so one SVD serves both terms.
+    """
+    if r == 0:
+        return _t_of_q(_whitened_sq_axes(terms, bw, out=out), bw)
+    return np.subtract(_eta_axes(terms, bw.scaled(2.0), r), 2.0 * _eta_axes(terms, bw, r),
+                       out=out)
 
 
 # ---------------------------------------------------------------------------
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _offset_axes(grid, lambda_max, mode, tau):
-    """Half-widths ``L`` and offset vectors ``delta_k * [-L_k, ..., L_k]``.
+def _tabulate_half(fill, bw, grid, lambda_max, mode, tau):
+    """Tabulate an even kernel at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
 
     ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
     box from ``lambda_max``, the largest eigenvalue of the widest
-    Gaussian tabulated (see :func:`effective_halfwidths`).  The vectors
-    are read-only slices of ``grid.offsets``, each shaped to broadcast
-    along its axis.
+    Gaussian tabulated (see :func:`effective_halfwidths`).  Every kernel
+    here is even (a Gaussian's derivatives of even order), so
+    ``fill(axes, out)`` writes it into the slab ``j_1 >= 0`` only, from
+    offsets ``axes[k]`` that broadcast along their axis (read-only
+    slices of ``grid.offsets``), and the slab ``j_1 < 0`` is one copy of
+    that half mirrored through the origin, ``k(-j) = k(j)`` exactly.
+    Raises ``ShapeMismatch`` if ``H = bw`` and the grid differ in dimension.
     """
+    if bw.d != grid.d:
+        raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
     if mode not in PSI_MODES:
         raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
     if mode == "fft-L":
@@ -135,60 +143,18 @@ def _offset_axes(grid, lambda_max, mode, tau):
     else:
         halfwidths = tuple(m - 1 for m in grid.shape)
     axes = [off[m - 1 - l:m + l] for off, m, l in zip(grid.offsets, grid.shape, halfwidths)]
-    return halfwidths, axes
-
-
-def _tabulate(func, grid, lambda_max, mode, tau):
-    """Evaluate an even ``func`` at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
-
-    ``func`` maps a ``(P, d)`` matrix of offsets to kernel values; the
-    box is that of :func:`_offset_axes`.  Every kernel tabulated here is
-    even (a Gaussian's derivatives of even order), so ``func`` is
-    evaluated over the half space ``j_1 >= 0`` only and the slab ``j_1 <
-    0`` is that half mirrored through the origin.
-    """
-    halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
-    l1 = halfwidths[0]
-    axes = [a.ravel() for a in axes]
-    axes[0] = axes[0][l1:]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    table = np.empty([2 * l + 1 for l in halfwidths])
-    half = table[l1:]
-    half[...] = np.asarray(func(pts)).reshape(half.shape)
-    table[:l1] = np.flip(half[1:])
-    return table
-
-
-def _tabulate_of_q(of_q, bw, grid, lambda_max, mode, tau):
-    """Tabulate a kernel given as a function of ``q = u^T H^-1 u``, ``H = bw``.
-
-    Same box and layout as :func:`_tabulate`.  Such a kernel is even, so
-    ``q`` is built by broadcasting the per-axis offsets (see
-    :func:`_whitened_sq_axes`) over the half space ``j_1 >= 0`` only,
-    straight into that slab of the table, where ``of_q(q, bw)`` maps it
-    to the kernel in place.  The slab ``j_1 < 0`` is one copy of that half
-    mirrored through the origin, ``k(-j) = k(j)`` exactly.
-
-    Raises
-    ------
-    ShapeMismatch
-        If ``H`` and the grid differ in dimension.
-    """
-    if bw.d != grid.d:
-        raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
-    halfwidths, axes = _offset_axes(grid, lambda_max, mode, tau)
     l1 = halfwidths[0]
     table = np.empty([2 * l + 1 for l in halfwidths])
     half = table[l1:]
     axes[0] = axes[0][l1:]
     # An overflowing quadratic form is inf, where every kernel here is 0.
     with np.errstate(over="ignore"):
-        of_q(_whitened_sq_axes(axes, bw, out=half), bw)
+        fill(axes, half)
     table[:l1] = np.flip(half[1:])
     return table
 
 
-def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
+def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     """Tabulate the order-``r`` CV kernel on grid offsets.
 
     The kernel is evaluated at ``delta * j`` for every integer offset
@@ -202,36 +168,26 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU, form="t"):
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
 
-    The kernel is even, so only the half space ``j_1 >= 0`` is
-    evaluated and the rest is mirrored, ``k(-j) = k(j)`` exactly.  The
-    order-0 ``"t"`` form depends on ``u`` only through ``u^T H^-1 u``,
-    so its half is tabulated by broadcasting; the ``"eta"`` form and
-    orders above 0 evaluate every offset of the half as a point.
+    The half space ``j_1 >= 0`` is tabulated by broadcasting per-axis
+    terms (see :func:`_cv_axes`) and mirrored (see :func:`_tabulate_half`).
 
     Returns
     -------
     ndarray of shape ``(2 L_1 + 1, ..., 2 L_d + 1)``.
     """
     bw = as_bandwidth(h)
-    if form == "t" and r == 0:
-        return _tabulate_of_q(_t_of_q, bw, grid, 2.0 * bw.lambda_max, mode, tau)
-    if form == "t":
-        form = "eta"
-    return _tabulate(lambda u: cv_kernel(u, bw, r=r, form=form),
-                     grid, 2.0 * bw.lambda_max, mode, tau)
+    return _tabulate_half(lambda axes, out: _cv_axes(axes, bw, r, out=out),
+                          bw, grid, 2.0 * bw.lambda_max, mode, tau)
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
     """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above.
 
-    Every order is evaluated over the half space ``j_1 >= 0`` and
-    mirrored as in :func:`build_kernel_grid`; at ``r == 0``, the
-    Gaussian density, by broadcasting.
+    At ``r == 0``, the Gaussian density of ``u^T sigma^-1 u``.
     """
     bw = as_bandwidth(sigma)
-    if r == 0:
-        return _tabulate_of_q(_density_of_q, bw, grid, bw.lambda_max, mode, tau)
-    return _tabulate(lambda u: eta_r(u, bw, r), grid, bw.lambda_max, mode, tau)
+    return _tabulate_half(lambda axes, out: _eta_axes(axes, bw, r, out=out),
+                          bw, grid, bw.lambda_max, mode, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +224,19 @@ def _binned_vstat(gc, kernel, mode):
     return float(pair_sum / (n * n))
 
 
-def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
+def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     """Binned double sum of the order-``r`` CV kernel.
 
     Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
-    binning: with counts ``c`` and the tabulated kernel ``k``, returns
-    ``n^-2 sum_i c_i (c * k)_i``, which equals ``n^-2 sum_j k(delta j)
-    A(j)`` with ``A`` the autocorrelation of the counts.  The kernel is
-    even, so that is ``n^-2 sum_{j_1 >= 0} k(delta j) W(j)`` with ``W``
-    the autocorrelation folded onto the half space ``j_1 >= 0``
-    (``gc.folded_autocorrelation``, computed once per sample).  The FFT
-    modes evaluate this last form, so each call costs one kernel
-    tabulation and one sum over half the table, made without BLAS (see
-    :func:`_binned_vstat`); ``"direct-binned"`` evaluates the first form
-    without any transform.
-
-    ``"fft-L"`` equals ``"fft-M"`` minus exactly the terms at offsets
-    outside its box ``B`` (see :func:`build_kernel_grid`).  The dropped
-    part ``n^-2 sum_{j not in B, j_1 >= 0} k(delta j) W(j)`` is at most
-    ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
-    absolute value, since ``0 <= W(j) <= 2 A(0)`` and ``A(0) = sum
-    c^2``.
+    binning: with counts ``c`` and the tabulated kernel ``k`` (see
+    :func:`build_kernel_grid`), returns ``n^-2 sum_i c_i (c * k)_i``.
+    Each call costs one kernel tabulation and one sum, made as in
+    :func:`_binned_vstat`: in the FFT modes over half the table against
+    the count autocorrelation folded onto it once per sample
+    (``gc.folded_autocorrelation``), without BLAS; in
+    ``"direct-binned"`` offset by offset, without any transform.
+    ``"fft-L"`` drops exactly the terms at offsets outside its box, a
+    part that :func:`_binned_vstat` bounds.
 
     Parameters
     ----------
@@ -303,9 +251,6 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     tau : float, optional
         Truncation radius for ``"fft-L"``, in standard deviations of the
         wider kernel ``2H``.
-    form : str, optional
-        Kernel route, ``"t"`` or ``"eta"``; orders above 0 always use
-        the eta route.
 
     Returns
     -------
@@ -313,7 +258,7 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     """
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("psi_binned expects GridCounts from linear_binning")
-    kernel = build_kernel_grid(gc.grid, h, r=r, mode=mode, tau=tau, form=form)
+    kernel = build_kernel_grid(gc.grid, h, r=r, mode=mode, tau=tau)
     return _binned_vstat(gc, kernel, mode)
 
 
@@ -441,16 +386,15 @@ def _t_sum(u, bw):
     return _peak(bw) * (2.0 ** (-bw.d / 2) * sum_e - 2.0 * e.sum())
 
 
-def psi_direct(x, h, r=0, form="t"):
+def psi_direct(x, h, r=0):
     """Exact pairwise double sum of the order-``r`` CV kernel.
 
     Returns ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, evaluated over
-    the ``n (n - 1) / 2`` pairs ``i < j`` (see :func:`_pairwise_vstat`).
-    The order-0 ``"t"`` form builds ``u^T H^-1 u`` per block from the
-    per-axis whitening of the exact differences and sums the kernel as
+    the ``n (n - 1) / 2`` pairs ``i < j`` (see :func:`_pairwise_vstat`),
+    with the rows of each ``(d, p)`` block of differences as the
+    per-axis terms of :func:`_cv_axes`.  At ``r == 0`` the block sum is
     ``K_H(0) (2^{-d/2} sum e - 2 sum e^2)``, ``e = exp(-q / 4)`` (see
-    :func:`_t_sum`); the ``"eta"`` form and orders above 0 go through
-    the derivative engine.
+    :func:`_t_sum`).
 
     Parameters
     ----------
@@ -461,30 +405,24 @@ def psi_direct(x, h, r=0, form="t"):
         Bandwidth matrix.
     r : int, optional
         Functional order (default 0).
-    form : str, optional
-        Kernel route, ``"t"`` or ``"eta"``; orders above 0 always use
-        the eta route.
 
     Returns
     -------
     float
     """
     bw = as_bandwidth(h)
-    if form == "t" and r == 0:
+    if r == 0:
         # T_H(0) = K_H(0) (2^{-d/2} - 2) in Python floats: e = exp(-0.0)
         # is exactly 1.  An overflowing quadratic form gives the kernel's
         # limit, 0.
         at_zero = _peak(bw) * (2.0 ** (-bw.d / 2) - 2.0)
         with np.errstate(over="ignore"):
             return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), at_zero)
-    if form == "t":
-        form = "eta"
-    return _pairwise_vstat(x, bw, lambda u: np.sum(cv_kernel(u.T, bw, r=r, form=form)),
-                           cv_kernel(np.zeros(bw.d), bw, r=r, form=form))
+    return _pairwise_vstat(x, bw, lambda u: np.sum(_cv_axes(u, bw, r)),
+                           _eta_zero(bw.scaled(2.0), r) - 2.0 * _eta_zero(bw, r))
 
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
     bw = as_bandwidth(sigma)
-    return _pairwise_vstat(x, bw, lambda u: np.sum(eta_r(u.T, bw, r)),
-                           eta_r(np.zeros(bw.d), bw, r))
+    return _pairwise_vstat(x, bw, lambda u: np.sum(_eta_axes(u, bw, r)), _eta_zero(bw, r))

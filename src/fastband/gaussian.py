@@ -1,6 +1,8 @@
 """Gaussian densities, their higher derivatives, and eta functionals."""
 
 import math
+from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -15,8 +17,8 @@ __all__ = [
     "eta_r",
 ]
 
-# Highest functional order r + s accepted by eta_rs.  The derivative
-# engine itself is capped at twice this value.
+# Highest functional order r + s accepted by eta_rs, and r by eta_r.
+# The derivative engine itself is capped at twice this value.
 MAX_FUNCTIONAL_ORDER = 8
 
 # Rough cap on tensor entries held at once when chunking eta evaluations.
@@ -33,26 +35,17 @@ def _as_points(x, d=None):
     return x, single
 
 
-def _whitened_sq(x, bw):
-    """Quadratic form ``x^T H^-1 x = |L^-1 x|^2`` per row, ``L = bw.chol``.
-
-    Whitening by ``L^-1`` (``bw.whiten = inv(L^T)``) rather than
-    multiplying by ``H^-1`` keeps the accuracy of a triangular solve
-    when ``H`` is ill-conditioned.
-    """
-    z = x @ bw.whiten
-    return np.einsum("ij,ij->i", z, z)
-
-
 def _whitened_sq_axes(terms, bw, out=None):
-    """Quadratic form ``u^T H^-1 u`` from per-axis terms ``terms[k] = u_k``.
+    """Quadratic form ``u^T H^-1 u = |L^-1 u|^2`` from per-axis terms ``terms[k] = u_k``.
 
-    The whitening of :func:`_whitened_sq`, one coordinate at a time:
-    with ``W = bw.whiten``, ``z_m = sum_k terms[k] W[k, m]`` and the
-    result is ``sum_m z_m^2``.  ``W`` is upper triangular, so ``z_m``
-    only sums ``k <= m``.  The terms may be any arrays that broadcast
-    together, such as the rows of a ``(d, p)`` block of difference
-    vectors or 1-D offsets laid along grid axes (``z_0`` then stays
+    Whitening by ``L^-1`` (``L = bw.chol``) rather than multiplying by
+    ``H^-1`` keeps the accuracy of a triangular solve when ``H`` is
+    ill-conditioned.  With ``W = bw.whiten = inv(L^T)``,
+    ``z_m = sum_k terms[k] W[k, m]`` and the result is ``sum_m z_m^2``.
+    ``W`` is upper triangular, so ``z_m`` only sums ``k <= m``.  The
+    terms may be any arrays that broadcast together: the columns of
+    ``(n, d)`` points, the rows of a ``(d, p)`` block of difference
+    vectors, or 1-D offsets laid along grid axes (``z_0`` then stays
     1-D).  Negating every term negates every ``z_m`` exactly, so
     ``q(-u) == q(u)`` bitwise.  ``out``, shaped as the broadcast
     result, receives the last ``z_m`` and then the sum, in place, with
@@ -109,13 +102,7 @@ def normal_pdf(x, sigma):
     -------
     (n,) ndarray, or float for a single point.
     """
-    bw = as_bandwidth(sigma)
-    x, single = _as_points(x, bw.d)
-    # A near-singular covariance sends the quadratic form to inf; the
-    # density limit is 0 there, so the overflow is benign.
-    with np.errstate(over="ignore"):
-        val = _density_of_q(_whitened_sq(x, bw), bw)
-    return float(val[0]) if single else val
+    return eta_r(x, sigma, 0)
 
 
 def gaussian_derivative_vector(x, sigma, order):
@@ -153,8 +140,7 @@ def gaussian_derivative_vector(x, sigma, order):
 
     u = x @ bw.inv
     g_prev2 = None
-    with np.errstate(over="ignore"):
-        g_prev = _density_of_q(_whitened_sq(x, bw), bw)
+    g_prev = _eta_axes(x.T, bw, 0)
     if order == 0:
         return g_prev
 
@@ -223,7 +209,75 @@ def eta_rs(x, sigma, r, s, a, b=None):
     return float(out[0]) if single else out
 
 
+def _functional_order(r):
+    """``r`` as an int, if it is an integer (not a bool) in ``[0, MAX_FUNCTIONAL_ORDER]``."""
+    if isinstance(r, bool) or not isinstance(r, Integral) or not 0 <= r <= MAX_FUNCTIONAL_ORDER:
+        raise OutOfRange(f"functional order {r!r} is not an integer in [0, {MAX_FUNCTIONAL_ORDER}]")
+    return int(r)
+
+
+def _hermite_sum(zs, lam, r):
+    """``r! sum_{|a| = r} prod_m lam_m^{-a_m} He_{2 a_m}(z_m) / a_m!``, see :func:`_eta_axes`."""
+    factors = []
+    for z, l in zip(zs, lam):
+        # factor[a] = l^-a He_2a(z) / a!, from He_{n+1} = z He_n - n He_{n-1}.
+        factor, prev, he = [None], 1.0, z
+        for n in range(1, 2 * r):
+            prev, he = he, z * he - n * prev
+            if n % 2:
+                factor.append(he / (l ** len(factor) * math.factorial(len(factor))))
+        factors.append(factor)
+    return math.factorial(r) * sum(math.prod(f[a] for f, a in zip(factors, alpha) if a)
+                                   for alpha in product(range(r + 1), repeat=len(factors))
+                                   if sum(alpha) == r)
+
+
+def _eta_axes(terms, bw, r, out=None):
+    """``eta_r(u; H) = Delta^r phi_H(u)`` from per-axis terms, as in :func:`_whitened_sq_axes`.
+
+    The Laplacian is invariant under rotation, so in the eigenbasis
+    ``H = Q diag(lam) Q^T`` (``bw.eig``), with
+    ``z_m = sum_k terms[k] Q[k, m] / sqrt(lam_m)``, the density is a
+    product of 1-D Gaussians and
+
+        Delta^r phi_H = phi_H r! sum_{|a| = r} prod_m lam_m^{-a_m} He_{2 a_m}(z_m) / a_m!
+
+    with ``He`` the probabilists' Hermite polynomials: ``C(r + d - 1,
+    d - 1)`` products instead of the ``d^(2r)`` tensor of :func:`eta_rs`
+    (the identity-weight case of Chacon & Duong 2015).  At ``r == 0``
+    this is the density of :func:`_whitened_sq_axes`, with no
+    eigendecomposition.  ``out``, shaped as the result, receives it.
+    ``r`` must be an integer in ``[0, MAX_FUNCTIONAL_ORDER]``.
+    """
+    r = _functional_order(r)
+    # An overflowing quadratic form gives the density's limit, 0.
+    with np.errstate(over="ignore"):
+        if r == 0:
+            return _density_of_q(_whitened_sq_axes(terms, bw, out=out), bw)
+        lam, vecs = bw.eig
+        w = vecs / np.sqrt(lam)
+        zs = [sum(terms[k] * w[k, m] for k in range(bw.d)) for m in range(bw.d)]
+        q = sum(z * z for z in zs)
+        return np.multiply(_density_of_q(q, bw), _hermite_sum(zs, lam, r), out=out)
+
+
+def _eta_zero(bw, r):
+    """``eta_r(0; H)`` of :func:`_eta_axes` in Python floats, ``K_H(0)`` at ``r == 0``.
+
+    The objective adds it per evaluation, where :func:`eta_r` costs 20 times as long.
+    """
+    if r == 0:
+        return _peak(bw)
+    return _peak(bw) * _hermite_sum([0.0] * bw.d, bw.eig[0].tolist(), _functional_order(r))
+
+
 def eta_r(x, sigma, r):
-    """Iterated-Laplacian functional, ``eta_rs`` with identity weights."""
+    """Iterated-Laplacian functional ``Delta^r phi_sigma(x)``, ``eta_rs`` with identity weights.
+
+    From Hermite products, see :func:`_eta_axes`.  An ``(n,)`` array, or
+    a float for a single point.
+    """
     bw = as_bandwidth(sigma)
-    return eta_rs(x, bw, r, 0, np.eye(bw.d))
+    x, single = _as_points(x, bw.d)
+    val = _eta_axes(x.T, bw, r)
+    return float(val[0]) if single else val

@@ -115,11 +115,11 @@ class BandwidthMatrix:
     copy, one symmetry check, then the factorization) and eagerly
     computes what every evaluation reads: the Cholesky factor
     ``np.linalg.cholesky(h)``, its whitening factor
-    ``np.linalg.inv(chol.T)`` and the determinant.  The inverse and the
-    largest eigenvalue are computed on first read and cached: only the
-    derivative engine (orders above 0) reads ``inv``, and only the
-    kernel tables of the binned modes read ``lambda_max``, so an order-0
-    exact evaluation computes neither.
+    ``np.linalg.inv(chol.T)`` and the determinant.  ``inv``,
+    ``lambda_max`` and ``eig`` are computed on first read and cached:
+    only the derivative tensors read ``inv``, only kernels above order 0
+    read ``eig``, and only the binned modes' kernel tables read
+    ``lambda_max``, so an order-0 exact evaluation computes none.
 
     Parameters
     ----------
@@ -143,6 +143,9 @@ class BandwidthMatrix:
         Inverse of ``h``, ``np.linalg.inv(h)`` (lazy).
     lambda_max : float
         Largest eigenvalue of ``h``, ``eigvalsh(h)[-1]`` (lazy).
+    eig : tuple of (d,) and (d, d) ndarray
+        Eigenvalues (ascending) and eigenvectors of ``h`` from the SVD of
+        ``W``, ``H^-1 = W W^T`` (lazy); ``eigh(h)`` can round a small one to 0.
 
     Raises
     ------
@@ -176,15 +179,25 @@ class BandwidthMatrix:
         source, factor = self._scaled_from
         return factor * source.lambda_max
 
+    @cached_property
+    def eig(self):
+        if self._scaled_from is None:
+            vecs, theta, _ = np.linalg.svd(self.whiten)
+            return theta ** -2.0, vecs
+        source, factor = self._scaled_from
+        lam, vecs = source.eig
+        return factor * lam, vecs
+
     def scaled(self, factor):
         """Return a new BandwidthMatrix equal to ``factor * h``, without refactoring.
 
         The cached factors are rescaled: ``chol`` by ``sqrt(factor)``,
         ``whiten`` by ``1 / sqrt(factor)`` and ``det`` by ``factor^d``;
-        on first read, ``inv`` is this matrix's ``inv / factor`` and
-        ``lambda_max`` its ``factor * lambda_max``.  So every ``h`` the
-        constructor accepted scales, even where a Cholesky of the
-        rounded ``2 h`` would fail.  A factor that is not positive
+        on first read, ``inv`` is this matrix's ``inv / factor``,
+        ``lambda_max`` its ``factor * lambda_max`` and ``eig`` its
+        eigenvectors with the eigenvalues times ``factor``.  So every
+        ``h`` the constructor accepted scales, even where a Cholesky of
+        the rounded ``2 h`` would fail.  A factor that is not positive
         raises ``NotPositiveDefinite``.
         """
         factor = float(factor)

@@ -22,11 +22,10 @@ from .fftconv import DEFAULT_TAU, convolve, convolve_direct
 from .functionals import (
     PairDifferences,
     eta_kernel_grid,
-    kh_zero,
     psi_binned,
     psi_direct,
 )
-from .gaussian import eta_r
+from .gaussian import _eta_zero, _functional_order
 from .linalg import BandwidthMatrix, SpdParam, as_bandwidth
 
 __all__ = [
@@ -71,7 +70,7 @@ class SelectorConfig:
         objective; finite and positive.
     r : int
         Derivative order of the target functional (default 0, the
-        density itself).
+        density itself), an integer in ``[0, MAX_FUNCTIONAL_ORDER]``.
     diagonal : bool
         Restrict the search to diagonal bandwidth matrices.
     dedup : bool
@@ -118,6 +117,7 @@ class SelectorConfig:
             )
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise OutOfRange(f"tau must be finite and > 0, got {self.tau!r}")
+        _functional_order(self.r)
         if self.min_points < 2:
             raise OutOfRange("min_points must be at least 2")
         if not _is_int(self.max_iter) or self.max_iter < 0:
@@ -244,7 +244,7 @@ def normal_scale_start(x, diagonal=False):
 # objective
 # ---------------------------------------------------------------------------
 
-def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
+def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     """Least-squares cross-validation objective for the order-``r`` target.
 
     Evaluates
@@ -271,9 +271,6 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
     tau : float, optional
         Truncation radius for ``"fft-L"``, in standard deviations of the
         wider kernel ``2H``.
-    form : str, optional
-        Kernel route, ``"t"`` or ``"eta"``; both compute the same
-        objective, orders above 0 always take the eta route.
 
     Returns
     -------
@@ -290,16 +287,13 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU, form="t"):
         else:
             data = np.atleast_2d(np.asarray(data, dtype=float))
             n = data.shape[0]
-        pair_part = psi_direct(data, bw, r=r, form=form)
+        pair_part = psi_direct(data, bw, r=r)
     else:
         if not isinstance(data, GridCounts):
             raise ShapeMismatch("binned modes expect GridCounts")
         n = data.n
-        pair_part = psi_binned(data, bw, r=r, mode=mode, tau=tau, form=form)
-    if form == "t" and r == 0:
-        at_zero = kh_zero(bw)
-    else:
-        at_zero = eta_r(np.zeros(bw.d), bw, r)
+        pair_part = psi_binned(data, bw, r=r, mode=mode, tau=tau)
+    at_zero = _eta_zero(bw, r)
     sign = -1.0 if r % 2 else 1.0
     return sign * (pair_part + 2.0 * at_zero / n)
 

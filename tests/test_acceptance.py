@@ -16,7 +16,7 @@ from scipy.stats import multivariate_normal
 
 import fastband as fb
 
-from .conftest import random_spd
+from .conftest import lscv_eta_tensor, random_spd
 
 ACC_SEED = 20260816
 
@@ -444,15 +444,15 @@ def test_criterion_09_qr_two_tier():
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_objective_formulations_agree():
-    """T_H-form and eta-form objectives coincide at r=0."""
+    """T_H-form objective and the tensor engine's eta-form coincide at r=0."""
     rng = np.random.default_rng(ACC_SEED + 7)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(20, 101))
         x = rng.standard_normal((n, 2)) * rng.uniform(0.5, 2.0)
         h = random_spd(rng, 2, scale=rng.uniform(0.05, 1.0))
-        a = fb.lscv_objective(x, h, mode="direct-exact", form="t")
-        b = fb.lscv_objective(x, h, mode="direct-exact", form="eta")
+        a = fb.lscv_objective(x, h, mode="direct-exact")
+        b = lscv_eta_tensor(x, h)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
     ok = worst <= 1e-12
     _report(10, ok, f"max relative gap {worst:.3e} over 100 pairs (tol 1e-12)")

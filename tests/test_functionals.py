@@ -14,12 +14,13 @@ from fastband import (
     OutOfRange,
     PairDifferences,
     ShapeMismatch,
+    as_bandwidth,
     build_kernel_grid,
     convolve,
     cv_kernel,
     effective_halfwidths,
     eta_kernel_grid,
-    eta_r,
+    eta_rs,
     exact_ise,
     kh_zero,
     linear_binning,
@@ -51,6 +52,18 @@ def gauss_pdf_oracle(u, cov):
     det = np.linalg.det(cov)
     quad = float(u @ np.linalg.solve(cov, u))
     return math.exp(-0.5 * quad) / ((2 * math.pi) ** (d / 2) * math.sqrt(det))
+
+
+def eta_tensor(u, sigma, r):
+    """``eta_r`` from the derivative tensor of :func:`eta_rs`, the general-weight engine."""
+    bw = as_bandwidth(sigma)
+    return eta_rs(u, bw, r, 0, np.eye(bw.d))
+
+
+def cv_tensor(u, h, r):
+    """``eta_r(u; 2H) - 2 eta_r(u; H)`` from the derivative tensor."""
+    bw = as_bandwidth(h)
+    return eta_tensor(u, bw.scaled(2.0), r) - 2.0 * eta_tensor(u, bw, r)
 
 
 def psi_pairwise_oracle(x, h):
@@ -127,7 +140,8 @@ def test_edge_bandwidth_accepted_by_every_2h_consumer():
     u = np.array([[0.0, 0.0], [1e-4, 0.3]])
     assert np.isfinite(bw.scaled(2.0).det)
     assert np.all(np.isfinite(t_h(u, bw)))
-    assert np.allclose(cv_kernel(u, bw, form="eta"), t_h(u, bw), rtol=1e-10)
+    assert np.allclose(cv_tensor(u, bw, 0), t_h(u, bw), rtol=1e-10)
+    assert np.all(np.isfinite(cv_kernel(u, bw, r=2)))
     assert np.isfinite(exact_ise(x, bw, mix))
 
 
@@ -137,16 +151,10 @@ def test_kh_zero_examples():
 
 
 def test_cv_kernel_forms_agree_at_order_zero(rng):
+    # The closed form T_H against the tensor engine's eta_0(2H) - 2 eta_0(H).
     h = random_spd(rng, 2)
     u = rng.standard_normal((50, 2))
-    t_form = cv_kernel(u, h, r=0, form="t")
-    eta_form = cv_kernel(u, h, r=0, form="eta")
-    assert np.allclose(t_form, eta_form, rtol=1e-13, atol=1e-15)
-
-
-def test_cv_kernel_t_form_requires_order_zero(rng):
-    with pytest.raises(OutOfRange):
-        cv_kernel(np.zeros(2), np.eye(2), r=2, form="t")
+    assert np.allclose(cv_kernel(u, h, r=0), cv_tensor(u, h, 0), rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +199,9 @@ def _offset_points(grid, shape):
 @pytest.mark.parametrize("shape", [(31,), (40,), (15, 22), (9, 12, 11)])
 @pytest.mark.parametrize("mode", PSI_MODES)
 def test_half_space_tables_match_pointwise_kernels(rng, shape, mode):
-    # The mirrored half-space tables (broadcast at r = 0, point by point
-    # at r = 2) against the kernels evaluated at every meshgrid offset;
-    # tau = 2 makes the fft-L box truncate.
+    # The mirrored half-space tables, broadcast at every r, against the
+    # kernels evaluated at every meshgrid offset (at r = 2 by the tensor
+    # engine); tau = 2 makes the fft-L box truncate.
     d = len(shape)
     x = rng.standard_normal((80, d))
     grid = make_grid(x, shape)
@@ -205,8 +213,8 @@ def test_half_space_tables_match_pointwise_kernels(rng, shape, mode):
         (eta_kernel_grid(grid, h, 0, mode=mode, tau=2.0), lambda u: normal_pdf(u, h),
          bw.lambda_max),
         (build_kernel_grid(grid, h, r=2, mode=mode, tau=2.0),
-         lambda u: cv_kernel(u, h, r=2, form="eta"), 2.0 * bw.lambda_max),
-        (eta_kernel_grid(grid, h, 2, mode=mode, tau=2.0), lambda u: eta_r(u, h, 2),
+         lambda u: cv_tensor(u, h, 2), 2.0 * bw.lambda_max),
+        (eta_kernel_grid(grid, h, 2, mode=mode, tau=2.0), lambda u: eta_tensor(u, h, 2),
          bw.lambda_max),
     ):
         if mode == "fft-L":
@@ -264,7 +272,6 @@ def test_kernel_tables_reject_a_bandwidth_of_another_dimension(rng, d_h):
     for mode in PSI_MODES:
         for call in (
             lambda: build_kernel_grid(grid, h, mode=mode),
-            lambda: build_kernel_grid(grid, h, mode=mode, form="eta"),
             lambda: build_kernel_grid(grid, h, r=2, mode=mode),
             lambda: eta_kernel_grid(grid, h, 0, mode=mode),
             lambda: eta_kernel_grid(grid, h, 2, mode=mode),
@@ -330,11 +337,11 @@ def test_half_pair_sums_match_full_double_sum(rng, monkeypatch, d, n, budget):
     for data in (x, PairDifferences(x)):
         assert psi_direct(data, h) == pytest.approx(
             _full_double_sum(x, lambda u: t_h(u, h)), rel=1e-12, abs=0.0)
-        assert psi_direct(data, h, r=2, form="eta") == pytest.approx(
-            _full_double_sum(x, lambda u: cv_kernel(u, h, r=2, form="eta")), rel=1e-12, abs=0.0)
+        assert psi_direct(data, h, r=2) == pytest.approx(
+            _full_double_sum(x, lambda u: cv_tensor(u, h, 2)), rel=1e-12, abs=0.0)
         for r in (0, 2):
             assert q_r_exact(data, h, r) == pytest.approx(
-                _full_double_sum(x, lambda u: eta_r(u, h, r)), rel=1e-12, abs=0.0)
+                _full_double_sum(x, lambda u: eta_tensor(u, h, r)), rel=1e-12, abs=0.0)
     if d == 2:
         mix = mixture_catalog("bimodal")
         assert exact_ise(x - 100.0, h, mix) == pytest.approx(
@@ -514,12 +521,17 @@ def test_psi_binned_approaches_exact_with_refinement(rng):
 
 
 def test_psi_binned_forms_agree(rng):
+    # The binned sum on the broadcast table against n^-2 sum c (c * k)
+    # with k the tensor engine's kernel at every offset.
     x = rng.standard_normal((80, 2))
     gc = linear_binning(x, make_grid(x, (24, 24)))
     h = 0.4 * np.eye(2)
-    t_form = psi_binned(gc, h, mode="fft-M", form="t")
-    eta_form = psi_binned(gc, h, mode="fft-M", form="eta")
-    assert t_form == pytest.approx(eta_form, rel=1e-12)
+    shape = tuple(2 * m - 1 for m in gc.counts.shape)
+    for r in (0, 2):
+        kernel = cv_tensor(_offset_points(gc.grid, shape), h, r).reshape(shape)
+        conv = convolve(gc.counts, kernel, padded_shape=padded_size_full(gc.counts.shape))
+        ref = np.sum(gc.counts * conv) / gc.n**2
+        assert psi_binned(gc, h, r=r, mode="fft-M") == pytest.approx(ref, rel=1e-12)
 
 
 def test_psi_modes_validated(rng):

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from fastband import (
+    MAX_FUNCTIONAL_ORDER,
     OutOfRange,
     eta_r,
     eta_rs,
@@ -199,9 +200,42 @@ def test_eta_r_equals_eta_rs_with_identity(rng):
 def test_eta_chunking_is_seamless(rng):
     sigma = random_spd(rng, 2)
     x = rng.standard_normal((500, 2))
-    full = eta_r(x, sigma, 4)
-    rows = np.array([eta_r(xi, sigma, 4) for xi in x])
+    full = eta_rs(x, sigma, 4, 0, np.eye(2))
+    rows = np.array([eta_rs(xi, sigma, 4, 0, np.eye(2)) for xi in x])
     assert np.allclose(full, rows, rtol=1e-12)
+
+
+def _rotated(rng, eigenvalues):
+    """``Q diag(eigenvalues) Q^T`` for a random orthogonal ``Q``."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    s = q @ np.diag(eigenvalues) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def test_eta_r_hermite_products_match_tensor_engine(rng):
+    # eta_r (Hermite products in the eigenbasis) against eta_rs (the
+    # derivative tensor contracted with vec(I)).  Each is the density
+    # times a polynomial in the whitened point: the normal_pdf bound
+    # 10 cond eps (1 + q / 2) for the density, with q the largest
+    # quadratic form, and r + 1 for the order, relative to max |eta|.
+    eps = np.finfo(float).eps
+    for d in (1, 2, 3):
+        sigmas = [random_spd(rng, d, scale=rng.uniform(0.05, 2.0)) for _ in range(3)]
+        if d > 1:
+            sigmas.append(_rotated(rng, np.geomspace(1.0, 1e-8, d)))
+        for sigma in sigmas:
+            x = np.vstack([np.zeros(d), rng.multivariate_normal(np.zeros(d), sigma, size=100)])
+            q = np.max(np.sum(x * np.linalg.solve(sigma, x.T).T, axis=1))
+            for r in range(5):
+                ref = eta_rs(x, sigma, r, 0, np.eye(d))
+                bound = 10.0 * np.linalg.cond(sigma) * eps * (r + 1) * (1.0 + q / 2)
+                assert np.max(np.abs(eta_r(x, sigma, r) - ref)) <= bound * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("r", [-1, MAX_FUNCTIONAL_ORDER + 1, 1.5, True])
+def test_eta_r_order_must_be_an_integer_in_range(r):
+    with pytest.raises(OutOfRange):
+        eta_r(np.zeros(2), np.eye(2), r)
 
 
 def test_eta_functional_order_cap():

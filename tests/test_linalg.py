@@ -285,6 +285,33 @@ def test_bandwidth_matrix_lazy_attributes_keep_their_formulas(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_matrix_eig_diagonalises_h_and_scales(rng, d):
+    h = random_spd(rng, d)
+    bw = BandwidthMatrix(h)
+    lam, vecs = bw.eig
+    assert np.all(np.diff(lam) >= 0)
+    assert np.allclose(lam, np.linalg.eigvalsh(h), rtol=1e-13)
+    assert np.allclose(vecs @ np.diag(lam) @ vecs.T, h, rtol=0.0, atol=1e-14)
+    for factor, out in ((2.0, bw.scaled(2.0)), (2.0 * 3.7, bw.scaled(2.0).scaled(3.7))):
+        scaled_lam, scaled_vecs = out.eig
+        assert scaled_vecs is vecs
+        assert np.allclose(scaled_lam, factor * lam, rtol=1e-15)
+
+
+def test_bandwidth_matrix_eig_keeps_a_small_eigenvalue():
+    # Accepted (det 6.9e-24), but eigh(h) rounds its small eigenvalue to 0;
+    # from the whitening factor it keeps the determinant.
+    h = np.array([
+        [6.19747244582656e-08, 1.1168038847478099e-04],
+        [1.1168038847478099e-04, 0.2012515469637482],
+    ])
+    bw = BandwidthMatrix(h)
+    lam, _ = bw.eig
+    assert np.linalg.eigvalsh(h)[0] <= 0.0 < lam[0]
+    assert np.prod(lam) == pytest.approx(bw.det, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_bandwidth_matrix_det_is_the_squared_diagonal_product(rng, d):
     for _ in range(50):
         bw = BandwidthMatrix(random_spd(rng, d, scale=10.0 ** rng.uniform(-8, 8)))

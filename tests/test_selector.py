@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize
 
 from fastband import (
+    MAX_FUNCTIONAL_ORDER,
     SELECTOR_MODES,
     AllDuplicates,
     BandwidthMatrix,
@@ -34,6 +35,8 @@ from fastband import (
 )
 import fastband
 from fastband import functionals
+
+from .conftest import lscv_eta_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +123,9 @@ def test_lscv_binned_tracks_exact(rng):
 
 
 @pytest.mark.parametrize("mode", SELECTOR_MODES)
-@pytest.mark.parametrize("form", ["t", "eta"])
-def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mode, form):
+# t: the closed-form T_H kernel at r = 0; eta: the Hermite-product kernels at r = 2.
+@pytest.mark.parametrize("r", [pytest.param(0, id="t"), pytest.param(2, id="eta")])
+def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mode, r):
     x = rng.standard_normal((80, 2))
     data = x if mode == "direct-exact" else linear_binning(x, make_grid(x, (30, 30)))
     bw = BandwidthMatrix(normal_scale_start(x))
@@ -133,7 +137,7 @@ def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mod
         init(self, h)
 
     monkeypatch.setattr(BandwidthMatrix, "__init__", counting_init)
-    assert np.isfinite(lscv_objective(data, bw, mode=mode, form=form))
+    assert np.isfinite(lscv_objective(data, bw, r=r, mode=mode))
     assert built == []
 
 
@@ -164,12 +168,12 @@ def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mod
     assert calls == {"inv_h": inverses, "eigvalsh": eigens}
 
 
-@pytest.mark.parametrize("r, form", [(0, "t"), (0, "eta"), (2, "eta")])
-def test_lscv_objective_on_pair_differences_equals_raw_sample(rng, r, form):
+@pytest.mark.parametrize("r", [0, 2])
+def test_lscv_objective_on_pair_differences_equals_raw_sample(rng, r):
     x = rng.standard_normal((70, 2))
     h = normal_scale_start(x)
-    cached = lscv_objective(PairDifferences(x), h, r=r, mode="direct-exact", form=form)
-    assert cached == lscv_objective(x, h, r=r, mode="direct-exact", form=form)
+    cached = lscv_objective(PairDifferences(x), h, r=r, mode="direct-exact")
+    assert cached == lscv_objective(x, h, r=r, mode="direct-exact")
 
 
 def test_binned_modes_reject_pair_differences(rng):
@@ -198,9 +202,8 @@ def test_direct_exact_selection_builds_the_pair_table_once(rng, monkeypatch):
 def test_lscv_forms_agree(rng):
     x = rng.standard_normal((60, 2))
     h = 0.3 * np.eye(2)
-    a = lscv_objective(x, h, mode="direct-exact", form="t")
-    b = lscv_objective(x, h, mode="direct-exact", form="eta")
-    assert a == pytest.approx(b, rel=1e-13)
+    a = lscv_objective(x, h, mode="direct-exact")
+    assert a == pytest.approx(lscv_eta_tensor(x, h), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +414,24 @@ def test_select_bandwidth_returns_spd_and_converges(rng):
     assert res.n_used == 300
 
 
+def test_order_two_selection_converges_and_binned_tracks_exact(rng):
+    # r = 2 in a binned and the exact mode: a finite SPD H, close between
+    # the modes, where the binned objective tracks the exact one as in
+    # criterion 9: its gap falls as the grid refines, to 1e-3 at grid 300.
+    x = rng.standard_normal((300, 2))
+    results = {mode: select_bandwidth(x, SelectorConfig(mode=mode, r=2))
+               for mode in ("fft-L", "direct-exact")}
+    for res in results.values():
+        assert res.converged and np.isfinite(res.objective)
+        assert np.all(np.isfinite(res.h)) and np.allclose(res.h, res.h.T)
+        assert np.all(np.linalg.eigvalsh(res.h) > 0)
+        exact = lscv_objective(x, res.h, r=2, mode="direct-exact")
+        gaps = [abs(lscv_objective(linear_binning(x, make_grid(x, (g, g))), res.h, r=2)
+                    - exact) / abs(exact) for g in (150, 300)]
+        assert gaps[1] < gaps[0] and gaps[1] <= 1e-3, gaps
+    assert np.allclose(results["fft-L"].h, results["direct-exact"].h, rtol=0.05, atol=0.01)
+
+
 def test_select_bandwidth_modes_agree_on_gaussian(rng):
     x = rng.standard_normal((400, 2))
     h_l = select_bandwidth(x, SelectorConfig(mode="fft-L", grid_size=120)).h
@@ -542,6 +563,7 @@ def test_select_bandwidth_rejects_non_finite_sample(rng, mode, bad):
     ("margin_fraction", -0.1), ("margin_fraction", np.nan),
     ("max_iter", -1), ("max_iter", 10.0),
     ("rel_tol", 0.0), ("rel_tol", -1e-7), ("rel_tol", np.nan),
+    ("r", -1), ("r", MAX_FUNCTIONAL_ORDER + 1), ("r", 1.5), ("r", True),
 ])
 def test_selector_config_rejects_bad_fields(field, value):
     with pytest.raises(OutOfRange):
