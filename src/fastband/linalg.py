@@ -1,6 +1,7 @@
 """Dense linear algebra helpers for bandwidth matrices."""
 
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +21,10 @@ __all__ = [
 # Determinants below this threshold are treated as numerically singular.
 _DET_FLOOR = 1e-300
 
+# Rounding margin per dimension of the factor path of SpdParam.bandwidth,
+# see _factor_rows.
+_MARGIN = 8.0 * sys.float_info.epsilon
+
 
 # ---------------------------------------------------------------------------
 # free functions
@@ -29,6 +34,14 @@ def _usable_det(det):
     if not math.isfinite(det) or det < _DET_FLOOR:
         raise SingularBandwidth(f"determinant {det} is not usable")
     return det
+
+
+def _exp(x):
+    """``exp(x)`` of a Python float, ``inf`` where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _power(x, k):
@@ -49,7 +62,7 @@ def _as_square(m):
 
 def _factor(m):
     """Cholesky factor of a validated square float matrix, see :func:`cholesky`."""
-    # An exactly symmetric m, such as the selector's L L^T, is settled
+    # An exactly symmetric m, such as SpdParam.decode's L L^T, is settled
     # on its Python floats, which costs less than an array comparison at
     # bandwidth sizes; a NaN fails both tests.
     rows = m.tolist()
@@ -60,6 +73,94 @@ def _factor(m):
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
+
+
+def _factor_rows(rows):
+    """Cholesky factor, whitening factor and determinant of a symmetric matrix, in Python floats.
+
+    ``rows`` holds an exactly symmetric ``H`` row by row.  Returns the
+    rows of the lower-triangular ``L`` (row ``i`` holds its ``i + 1``
+    leading entries), the rows of the upper-triangular ``W = inv(L^T)``
+    (by back substitution, column ``c`` from ``W_cc = 1 / L_cc`` up) and
+    ``det = prod(diag L)^2``, computed as the constructor computes it.
+
+    This replaces the constructor's LAPACK factorization on the
+    selector's path, so it must refuse every ``H`` that LAPACK refuses,
+    though their last bits differ (OpenBLAS scales a column by
+    ``1 / L_jj`` where this divides).  Each factorization is exact for
+    ``H`` perturbed by about ``d eps sqrt(H_ii H_jj)`` in entry
+    ``(i, j)``, so the two agree where that is small against
+    ``lambda_min`` of the correlation form ``C = D^-1/2 H D^-1/2``,
+    ``D = diag(H)``.  ``s = |D^1/2 W|_F^2`` bounds ``1 / lambda_min(C)``
+    from above; ``H`` is accepted only if the margin ``m = 8 d eps s`` is
+    below 1 and ``det (1 - m)`` clears ``_DET_FLOOR``.  Over 3e5
+    ill-conditioned random ``H`` at d = 2 and 3, LAPACK failed only where
+    ``eps s >= 1.6``, and the two determinants differed by at most
+    ``12 eps s`` relative.  Two simpler tests let through matrices that
+    the constructor refuses: pivots above ``8 d eps H_jj`` (at d = 3 the
+    error of an early small pivot carries into later rows; LAPACK failed
+    where the smallest pivot was 1e-8 of its diagonal entry), and
+    ``det >= _DET_FLOOR (1 + 8 d eps)`` (a fragile-mixture ``H`` whose
+    small pivot lost most of its digits to cancellation has determinant
+    1.06e-300 here and 9.97e-301 from LAPACK).
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If a pivot is not positive (NaN included) or ``m >= 1``.
+    SingularBandwidth
+        If ``det`` is not finite or ``det (1 - m) < _DET_FLOOR``.
+    """
+    d = len(rows)
+    chol = []
+    for j, row in enumerate(rows):
+        lj = []
+        for k, lk in enumerate(chol):
+            s = row[k]
+            for i in range(k):
+                s -= lj[i] * lk[i]
+            lj.append(s / lk[k])
+        pivot = row[j]
+        for a in lj:
+            pivot -= a * a
+        if not pivot > 0.0:
+            raise NotPositiveDefinite(f"pivot {pivot} of row {j} is not positive")
+        lj.append(math.sqrt(pivot))
+        chol.append(lj)
+    w = [[0.0] * d for _ in range(d)]
+    for c in range(d):
+        w[c][c] = 1.0 / chol[c][c]
+        for i in range(c - 1, -1, -1):
+            s = 0.0
+            for k in range(i + 1, c + 1):
+                s -= chol[k][i] * w[k][c]
+            w[i][c] = s / chol[i][i]
+    spread = 0.0
+    for i, wi in enumerate(w):
+        root = math.sqrt(rows[i][i])
+        for a in wi[i:]:
+            a *= root
+            spread += a * a
+    margin = _MARGIN * d * spread
+    if not margin < 1.0:
+        raise NotPositiveDefinite(f"too close to singular: margin {margin} is not below 1")
+    det = _power(math.prod([lj[-1] for lj in chol]), 2)
+    if not (math.isfinite(det) and det * (1.0 - margin) >= _DET_FLOOR):
+        raise SingularBandwidth(f"determinant {det} is not usable")
+    return chol, w, det
+
+
+class _SymmetricRows:
+    """An exactly symmetric matrix as rows of Python floats.
+
+    The private input of :meth:`SpdParam.bandwidth` to
+    ``BandwidthMatrix``, which factors it by :func:`_factor_rows`.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
 
 
 def cholesky(m):
@@ -121,6 +222,12 @@ class BandwidthMatrix:
     read ``eig``, and only the binned modes' kernel tables read
     ``lambda_max``, so an order-0 exact evaluation computes none.
 
+    :meth:`SpdParam.bandwidth` builds one from log-Cholesky coordinates
+    with no LAPACK call: ``chol``, ``whiten`` and ``det`` come from
+    Python-float arithmetic that agrees with these calls to rounding,
+    ``h`` and ``chol`` become arrays on first read, and the test that
+    accepts ``h`` is stricter than the one here.
+
     Parameters
     ----------
     h : (d, d) array_like
@@ -159,11 +266,26 @@ class BandwidthMatrix:
     _scaled_from = None
 
     def __init__(self, h):
+        if isinstance(h, _SymmetricRows):
+            self._rows = h.rows
+            self._chol_rows, whiten, self.det = _factor_rows(h.rows)
+            self.d = len(h.rows)
+            self.whiten = np.array(whiten)
+            return
         self.h = _as_square(np.array(h, dtype=float))
         self.d = self.h.shape[0]
         self.chol = _factor(self.h)
         self.whiten = np.linalg.inv(self.chol.T)
         self.det = _usable_det(_power(math.prod(self.chol.diagonal().tolist()), 2))
+
+    # Set by the constructor, except from SpdParam.bandwidth.
+    @cached_property
+    def h(self):
+        return np.array(self._rows)
+
+    @cached_property
+    def chol(self):
+        return np.array([row + [0.0] * (self.d - len(row)) for row in self._chol_rows])
 
     @cached_property
     def inv(self):
@@ -268,18 +390,66 @@ class SpdParam:
         return theta
 
     def decode(self, theta):
-        """Map a coordinate vector back to an SPD matrix."""
+        """Map a coordinate vector back to an SPD matrix.
+
+        ``H`` is the lower triangle of ``L L^T`` in Python floats,
+        mirrored, so it is exactly symmetric.  An exponential that
+        overflows is ``inf``, so a coordinate too large for a float gives
+        a non-finite ``H``, not an exception.
+        """
+        return np.array(self._rows(theta))
+
+    def bandwidth(self, theta):
+        """The ``BandwidthMatrix`` of ``decode(theta)``, factored with no LAPACK call.
+
+        ``h`` is ``decode(theta)`` bit for bit.  ``chol`` is the
+        Cholesky factor of that rounded ``h`` (not the ``L`` that
+        ``theta`` holds), ``whiten`` its triangular inverse and ``det``
+        the squared product of its diagonal, all computed in Python
+        floats; they agree with the constructor's LAPACK factors to
+        rounding.  The test that accepts ``h`` is stricter than the
+        constructor's (see :func:`_factor_rows`): whatever it accepts,
+        ``BandwidthMatrix(decode(theta))`` accepts too.
+
+        Raises
+        ------
+        NotPositiveDefinite
+            If ``h`` is within the rounding margin of singular, or is not
+            finite (an overflowing, NaN or infinite coordinate).
+        SingularBandwidth
+            If the determinant, less that margin, is not usable.
+        """
+        return BandwidthMatrix(_SymmetricRows(self._rows(theta)))
+
+    def _rows(self, theta):
+        """``H = L L^T`` of ``theta`` as rows of Python floats, see :meth:`decode`."""
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != self.n_params:
             raise ShapeMismatch(
                 f"expected {self.n_params} coordinates, got {theta.size}"
             )
+        coords = theta.tolist()
+        d = self.d
         if self.diagonal:
-            return np.diag(np.exp(theta) ** 2)
-        ell = np.zeros((self.d, self.d))
-        k = 0
-        for i in range(self.d):
+            h = [[0.0] * d for _ in range(d)]
+            for i, t in enumerate(coords):
+                e = _exp(t)
+                h[i][i] = e * e
+            return h
+        # Row i of L holds its i + 1 leading entries, the diagonal one last.
+        ell, k = [], 0
+        for i in range(d):
+            row = coords[k:k + i + 1]
+            row[i] = _exp(row[i])
+            ell.append(row)
+            k += i + 1
+        h = [[0.0] * d for _ in range(d)]
+        for i, li in enumerate(ell):
+            hi = h[i]
             for j in range(i + 1):
-                ell[i, j] = np.exp(theta[k]) if i == j else theta[k]
-                k += 1
-        return ell @ ell.T
+                lj = ell[j]
+                s = li[0] * lj[0]
+                for k in range(1, j + 1):
+                    s += li[k] * lj[k]
+                hi[j] = h[j][i] = s
+        return h

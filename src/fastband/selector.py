@@ -26,7 +26,7 @@ from .functionals import (
     psi_direct,
 )
 from .gaussian import _eta_zero, _functional_order
-from .linalg import BandwidthMatrix, SpdParam, as_bandwidth
+from .linalg import SpdParam, as_bandwidth
 
 __all__ = [
     "SELECTOR_MODES",
@@ -149,9 +149,13 @@ class SelectionResult:
     Attributes
     ----------
     h : (d, d) ndarray
-        Selected bandwidth matrix.
+        Selected bandwidth matrix: ``SpdParam.decode(theta)``, the ``h``
+        that the objective evaluated at ``theta``.
     objective : float
-        Objective value at ``h``.
+        Objective value at ``h``, as the selector evaluated it, from
+        :meth:`~fastband.linalg.SpdParam.bandwidth`.  It equals
+        ``lscv_objective(data, h)`` within 1e-12 relative, not bit for
+        bit, because the public constructor refactors ``h`` with LAPACK.
     iterations : int
         Simplex iterations used.
     n_evals : int
@@ -169,8 +173,10 @@ class SelectionResult:
         in milliseconds; 0.0 for ``"direct-exact"``.
     n_rejected : int
         Evaluations the objective rejected, by an exception (a matrix
-        the constructor refuses, say) or a non-finite value; each
-        counted as ``inf``.  At most ``n_evals``.
+        too close to singular, or coordinates that overflow, say) or a
+        non-finite value; each counted as ``inf``.  At most ``n_evals``.
+    theta : (p,) ndarray
+        Log-Cholesky coordinates of ``h`` (see ``SpdParam``).
     """
 
     h: np.ndarray
@@ -416,7 +422,10 @@ def select_bandwidth(x, config=None):
 
     Prepares the sample once, then minimizes the LSCV objective over
     the log-Cholesky coordinates of the bandwidth with a Nelder-Mead
-    simplex started at the normal-scale bandwidth.  The binned modes
+    simplex started at the normal-scale bandwidth.  Each evaluation
+    builds its ``BandwidthMatrix`` from the coordinates with no LAPACK
+    call (:meth:`~fastband.linalg.SpdParam.bandwidth`), and refuses
+    every matrix that the public constructor refuses.  The binned modes
     bin the sample; the FFT modes transform the counts once, on the
     first evaluation, and every later evaluation is a kernel
     tabulation and one sum over its half space (see
@@ -478,7 +487,7 @@ def select_bandwidth(x, config=None):
 
     def objective(theta):
         try:
-            h = BandwidthMatrix(param.decode(theta))
+            h = param.bandwidth(theta)
             return lscv_objective(data, h, r=cfg.r, mode=cfg.mode, tau=cfg.tau)
         except (FastbandError, np.linalg.LinAlgError, FloatingPointError):
             return np.inf

@@ -1,5 +1,7 @@
 """Tests for dense linear algebra helpers and the SPD parametrization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,3 +408,122 @@ def test_spd_param_rejects_wrong_sizes():
         p.decode(np.zeros(2))
     with pytest.raises(ShapeMismatch):
         p.encode(np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# SpdParam.bandwidth: the selector's factor path, with no LAPACK call
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def test_factor_path_refuses_a_pivot_that_lapack_rounds_to_zero():
+    # Met by criterion 7's coarse setting (fragile, n = 256, grid 20,
+    # default_rng([20260820, 256, 1])).  In Python floats the second
+    # pivot is 4.4e-16 > 0; OpenBLAS forms l10 = b (1 / l00), gets
+    # exactly 0 and refuses the matrix.
+    p = SpdParam(2)
+    theta = [-140.407353775145, 1.7019796919003822, -22.521535533260497]
+    h = p.decode(theta)
+    l10 = h[1, 0] / math.sqrt(h[0, 0])
+    assert h[1, 1] - l10 * l10 > 0.0
+    with pytest.raises(NotPositiveDefinite):
+        BandwidthMatrix(h)
+    with pytest.raises(NotPositiveDefinite):
+        p.bandwidth(theta)
+
+
+def test_factor_path_refuses_a_3d_matrix_whose_pivots_clear_their_margin():
+    # Its Python-float pivots are 1, 3.5e-11 and 1.8e-6 of their diagonal
+    # entries, far above an 8 d eps margin, yet LAPACK fails: at d = 3
+    # the error of a small early pivot carries into the later rows.
+    p = SpdParam(3)
+    theta = [-15.467777678755375, 3012.2427534077974, -4.0324534028357135,
+             -0.00010454635200370209, 2195976.136289836, 3.4948281778967925]
+    with pytest.raises(NotPositiveDefinite):
+        BandwidthMatrix(p.decode(theta))
+    with pytest.raises(NotPositiveDefinite):
+        p.bandwidth(theta)
+
+
+def test_factor_path_refuses_criterion_7s_determinant_floor_case():
+    # One of criterion 7's fragile selections (seed family 20260820,
+    # rep 13) runs to det(H) near the floor 1e-300.  There the
+    # determinant from diag(L) is 1.055e-300 and from the Python-float
+    # Cholesky of the rounded H 1.06e-300, both above the floor with an
+    # 8 d eps margin, yet LAPACK's, from a pivot that lost most of its
+    # digits to cancellation, is 9.97e-301.
+    p = SpdParam(2)
+    theta = [-331.51034004729235, 12.650416842636773, -13.850548727038664]
+    h = p.decode(theta)
+    floor = 1e-300 * (1.0 + 16.0 * _EPS)
+    assert math.exp(2.0 * (theta[0] + theta[2])) > floor
+    l00 = math.sqrt(h[0, 0])
+    l10 = h[1, 0] / l00
+    assert (l00 * math.sqrt(h[1, 1] - l10 * l10)) ** 2 > floor
+    with pytest.raises(SingularBandwidth):
+        BandwidthMatrix(h)
+    with pytest.raises((NotPositiveDefinite, SingularBandwidth)):
+        p.bandwidth(theta)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.booleans(), st.data())
+def test_factor_path_accepts_only_what_the_constructor_accepts(d, diagonal, data):
+    # Diagonal log-entries in [-300, 300] reach both ends of the
+    # determinant's range; wide off-diagonal entries make H nearly
+    # singular.  Whatever the factor path accepts, the public
+    # constructor accepts, so a selected h always passes it again.
+    p = SpdParam(d, diagonal=diagonal)
+    diag = st.floats(-300, 300)
+    off = st.floats(-1e6, 1e6)
+    if diagonal:
+        theta = [data.draw(diag) for _ in range(d)]
+    else:
+        theta = [data.draw(diag if i == j else off) for i in range(d) for j in range(i + 1)]
+    try:
+        bw = p.bandwidth(theta)
+    except (NotPositiveDefinite, SingularBandwidth):
+        return
+    public = BandwidthMatrix(p.decode(theta))
+    assert np.array_equal(bw.h, public.h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.data())
+def test_factor_path_agrees_with_the_public_constructor(d, data):
+    # Two backward-stable Cholesky factorizations of one rounded H
+    # differ by up to about cond(H) eps: 1e-12 relative where H is well
+    # conditioned.  (Over 6e4 random theta the worst gap was 1.3
+    # cond(H) eps.)
+    p = SpdParam(d)
+    theta = data.draw(st.lists(st.floats(-5, 5), min_size=p.n_params, max_size=p.n_params))
+    try:
+        bw = p.bandwidth(theta)
+    except (NotPositiveDefinite, SingularBandwidth):
+        return
+    public = BandwidthMatrix(p.decode(theta))
+    tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(public.h))
+    for name in ("chol", "whiten", "det"):
+        assert _rel(getattr(bw, name), getattr(public, name)) <= tol, name
+    assert np.array_equal(bw.h, p.decode(theta)) and bw.d == d
+    assert np.array_equal(bw.chol, np.tril(bw.chol))
+    assert np.array_equal(bw.whiten, np.triu(bw.whiten))
+    for name in ("inv", "lambda_max", "eig"):
+        assert name not in vars(bw)
+    assert _rel(bw.scaled(2.0).whiten, public.scaled(2.0).whiten) <= tol
+
+
+@pytest.mark.parametrize("bad", [1e300, -1e300, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_factor_path_rejects_extreme_coordinates_by_type(bad, diagonal):
+    # An exponential or a square that overflows, a NaN or an infinity:
+    # decode returns a non-finite H, and the factor path refuses it with
+    # a typed error rather than an OverflowError.
+    p = SpdParam(2, diagonal=diagonal)
+    for pos in range(p.n_params):
+        theta = np.zeros(p.n_params)
+        theta[pos] = bad
+        assert p.decode(theta).shape == (2, 2)
+        with pytest.raises((NotPositiveDefinite, SingularBandwidth)):
+            p.bandwidth(theta)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from fastband import (
     SelectorConfig,
     ShapeMismatch,
     SimplexResult,
+    SpdParam,
     TooFewPoints,
     dedup,
     kde_on_grid,
@@ -141,31 +143,38 @@ def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mod
     assert built == []
 
 
-@pytest.mark.parametrize("mode, inverses, eigens", [("direct-exact", 0, 0), ("fft-L", 0, 1)])
-def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mode, inverses,
-                                                         eigens):
-    # One selector evaluation: the constructor, then the objective.  The
-    # exact route reads neither H^-1 nor lambda_max; fft-L reads
-    # lambda_max once, to size its box.
+@pytest.mark.parametrize("source", ["matrix", "theta"])
+@pytest.mark.parametrize("mode", ["direct-exact", "fft-L"])
+def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mode, source):
+    # One evaluation: the bandwidth, then the objective.  The public
+    # constructor factors h with one cholesky and one inv(L^T), so a
+    # second inv would be H^-1, which the exact route does not read;
+    # fft-L reads lambda_max once, to size its box.  The selector's
+    # factor path, SpdParam.bandwidth, makes no LAPACK call of its own.
     x = rng.standard_normal((80, 2))
     data = PairDifferences(x) if mode == "direct-exact" else linear_binning(
         x, make_grid(x, (30, 30)))
     h = normal_scale_start(x)
-    calls = {"inv_h": 0, "eigvalsh": 0}
-    inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
+    param = SpdParam(2)
+    theta = param.encode(h)
+    calls = Counter()
 
-    def counting_inv(a):
-        calls["inv_h"] += bool(np.array_equal(a, h))
-        return inv(a)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_eigvalsh(a, *args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    assert np.isfinite(lscv_objective(data, BandwidthMatrix(h), mode=mode))
-    assert calls == {"inv_h": inverses, "eigvalsh": eigens}
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    bw = BandwidthMatrix(h) if source == "matrix" else param.bandwidth(theta)
+    assert np.isfinite(lscv_objective(data, bw, mode=mode))
+    expected = Counter({"cholesky": 1, "inv": 1} if source == "matrix" else {})
+    if mode == "fft-L":
+        expected["eigvalsh"] = 1
+    assert calls == expected
 
 
 @pytest.mark.parametrize("r", [0, 2])
@@ -534,6 +543,51 @@ def test_selection_counts_rejected_evaluations(rep):
     assert 0 <= res.n_rejected <= res.n_evals
     calm = select_bandwidth(np.random.default_rng(rep).standard_normal((100, 2)))
     assert calm.n_rejected == 0
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize("bad", [1e300, np.nan, np.inf, -np.inf])
+def test_extreme_coordinates_are_rejected_evaluations(monkeypatch, bad, diagonal):
+    # A coordinate whose exponential (on the diagonal) or square (off it)
+    # overflows, or a NaN or infinite one, is a typed rejection of the
+    # factor path, counted as inf, not a crash.  At max_iter = 0 the
+    # start simplex is the only work, and every vertex keeps the bad
+    # coordinate (or turns it into NaN).
+    x = np.random.default_rng(4).standard_normal((60, 2))
+    for pos in range(2 if diagonal else 3):
+        theta0 = np.zeros(2 if diagonal else 3)
+        theta0[pos] = bad
+        monkeypatch.setattr(SpdParam, "encode", lambda self, h, t=theta0: t.copy())
+        for mode in ("fft-L", "direct-exact"):
+            res = select_bandwidth(x, SelectorConfig(mode=mode, grid_size=20, max_iter=0,
+                                                     diagonal=diagonal))
+            assert res.n_rejected == res.n_evals == theta0.size + 1
+            assert res.objective == math.inf
+
+
+@pytest.mark.parametrize("mode", ["fft-L", "direct-exact"])
+def test_selection_with_a_far_outlier_does_not_raise(mode):
+    x = np.random.default_rng(6).standard_normal((300, 2))
+    x = np.vstack([x, [1e6, 1e6]])
+    res = select_bandwidth(x, SelectorConfig(mode=mode))
+    assert 0 <= res.n_rejected <= res.n_evals and np.isfinite(res.objective)
+
+
+@pytest.mark.parametrize("mode, r, diagonal", [
+    ("direct-exact", 0, False), ("fft-L", 0, False), ("fft-L", 0, True), ("fft-L", 2, False),
+])
+def test_selected_h_is_the_one_the_objective_evaluated(mode, r, diagonal):
+    # A sample whose r = 2 selection does not collapse to a thin H.
+    x = np.random.default_rng(2).standard_normal((300, 2))
+    res = select_bandwidth(x, SelectorConfig(mode=mode, r=r, diagonal=diagonal))
+    param = SpdParam(2, diagonal=diagonal)
+    assert np.array_equal(res.h, param.decode(res.theta))
+    data = PairDifferences(dedup(x)) if mode == "direct-exact" else linear_binning(
+        dedup(x), res.grid)
+    assert res.objective == lscv_objective(data, param.bandwidth(res.theta), r=r, mode=mode)
+    # The public constructor refactors h with LAPACK: the same value to rounding.
+    public = lscv_objective(data, res.h, r=r, mode=mode)
+    assert abs(public - res.objective) <= 1e-12 * abs(res.objective)
 
 
 def test_select_bandwidth_reports_its_binning_time(rng):
