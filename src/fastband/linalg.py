@@ -21,8 +21,8 @@ __all__ = [
 # Determinants below this threshold are treated as numerically singular.
 _DET_FLOOR = 1e-300
 
-# Rounding margin per dimension of the factor path of SpdParam.bandwidth,
-# see _factor_rows.
+# Rounding margin per dimension of the BandwidthMatrix factorization, see
+# _factor_rows.
 _MARGIN = 8.0 * sys.float_info.epsilon
 
 
@@ -60,35 +60,39 @@ def _as_square(m):
     return m
 
 
-def _factor(m):
-    """Cholesky factor of a validated square float matrix, see :func:`cholesky`."""
+def _symmetric_rows(m):
+    """Rows of a validated square float matrix ``m``, as Python floats.
+
+    ``m`` must be symmetric, exactly or to ``allclose(m, m.T, rtol=1e-10,
+    atol=1e-12)``, and finite.
+    """
     # An exactly symmetric m, such as SpdParam.decode's L L^T, is settled
     # on its Python floats, which costs less than an array comparison at
     # bandwidth sizes; a NaN fails both tests.
     rows = m.tolist()
-    exact = all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i + 1))
-    if not (exact or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
+    if not (rows == m.T.tolist() or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
         raise NotPositiveDefinite("matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    if not all(math.isfinite(a) for row in rows for a in row):
+        raise NotPositiveDefinite("matrix is not finite")
+    return rows
 
 
 def _factor_rows(rows):
     """Cholesky factor, whitening factor and determinant of a symmetric matrix, in Python floats.
 
-    ``rows`` holds an exactly symmetric ``H`` row by row.  Returns the
-    rows of the lower-triangular ``L`` (row ``i`` holds its ``i + 1``
-    leading entries), the rows of the upper-triangular ``W = inv(L^T)``
-    (by back substitution, column ``c`` from ``W_cc = 1 / L_cc`` up) and
-    ``det = prod(diag L)^2``, computed as the constructor computes it.
+    ``rows`` holds a symmetric ``H`` row by row, of which the lower
+    triangle is read.  Returns the rows of the lower-triangular ``L``
+    (row ``i`` holds its ``i + 1`` leading entries), the rows of the
+    upper-triangular ``W = inv(L^T)`` (by back substitution, column
+    ``c`` from ``W_cc = 1 / L_cc`` up) and ``det = prod(diag L)^2``.
 
-    This replaces the constructor's LAPACK factorization on the
-    selector's path, so it must refuse every ``H`` that LAPACK refuses,
-    though their last bits differ (OpenBLAS scales a column by
-    ``1 / L_jj`` where this divides).  Each factorization is exact for
-    ``H`` perturbed by about ``d eps sqrt(H_ii H_jj)`` in entry
+    This is the one factorization behind every ``BandwidthMatrix``, and
+    it refuses ``H`` with a margin for rounding, so that whatever it
+    accepts, LAPACK's Cholesky (the reference in the tests) accepts too,
+    on any BLAS: their last bits differ (OpenBLAS scales a column by
+    ``1 / L_jj`` where this divides, and refuses some ``H`` whose pivot
+    is positive in correctly rounded division).  Each factorization is
+    exact for ``H`` perturbed by about ``d eps sqrt(H_ii H_jj)`` in entry
     ``(i, j)``, so the two agree where that is small against
     ``lambda_min`` of the correlation form ``C = D^-1/2 H D^-1/2``,
     ``D = diag(H)``.  ``s = |D^1/2 W|_F^2`` bounds ``1 / lambda_min(C)``
@@ -97,9 +101,9 @@ def _factor_rows(rows):
     ill-conditioned random ``H`` at d = 2 and 3, LAPACK failed only where
     ``eps s >= 1.6``, and the two determinants differed by at most
     ``12 eps s`` relative.  Two simpler tests let through matrices that
-    the constructor refuses: pivots above ``8 d eps H_jj`` (at d = 3 the
-    error of an early small pivot carries into later rows; LAPACK failed
-    where the smallest pivot was 1e-8 of its diagonal entry), and
+    LAPACK refuses: pivots above ``8 d eps H_jj`` (at d = 3 the error of
+    an early small pivot carries into later rows; LAPACK failed where
+    the smallest pivot was 1e-8 of its diagonal entry), and
     ``det >= _DET_FLOOR (1 + 8 d eps)`` (a fragile-mixture ``H`` whose
     small pivot lost most of its digits to cancellation has determinant
     1.06e-300 here and 9.97e-301 from LAPACK).
@@ -150,19 +154,6 @@ def _factor_rows(rows):
     return chol, w, det
 
 
-class _SymmetricRows:
-    """An exactly symmetric matrix as rows of Python floats.
-
-    The private input of :meth:`SpdParam.bandwidth` to
-    ``BandwidthMatrix``, which factors it by :func:`_factor_rows`.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-
 def cholesky(m):
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
@@ -179,9 +170,14 @@ def cholesky(m):
     Raises
     ------
     NotPositiveDefinite
-        If ``m`` is not symmetric positive definite.
+        If ``m`` is not finite and symmetric positive definite.
     """
-    return _factor(_as_square(m))
+    m = _as_square(m)
+    _symmetric_rows(m)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
 
 
 def largest_eigenvalue(m):
@@ -213,20 +209,19 @@ class BandwidthMatrix:
     """A symmetric positive definite bandwidth matrix with cached factors.
 
     The constructor validates the matrix in one pass (one conversion and
-    copy, one symmetry check, then the factorization) and eagerly
-    computes what every evaluation reads: the Cholesky factor
-    ``np.linalg.cholesky(h)``, its whitening factor
-    ``np.linalg.inv(chol.T)`` and the determinant.  ``inv``,
-    ``lambda_max`` and ``eig`` are computed on first read and cached:
-    only the derivative tensors read ``inv``, only kernels above order 0
-    read ``eig``, and only the binned modes' kernel tables read
-    ``lambda_max``, so an order-0 exact evaluation computes none.
-
-    :meth:`SpdParam.bandwidth` builds one from log-Cholesky coordinates
-    with no LAPACK call: ``chol``, ``whiten`` and ``det`` come from
-    Python-float arithmetic that agrees with these calls to rounding,
-    ``h`` and ``chol`` become arrays on first read, and the test that
-    accepts ``h`` is stricter than the one here.
+    copy, one symmetry and finiteness check) and factors it in Python
+    floats with no LAPACK call (:func:`_factor_rows`), computing what
+    every evaluation reads: the whitening factor ``W = inv(L^T)`` of the
+    Cholesky factor ``L`` and the determinant.  ``chol`` becomes an
+    array on first read; ``inv``, ``lambda_max`` and ``eig`` are
+    computed on first read and cached: only the derivative tensors read
+    ``inv``, only kernels above order 0 read ``eig``, and only the
+    binned modes' kernel tables read ``lambda_max``, so an order-0 exact
+    evaluation computes none.  The factors agree with LAPACK's
+    ``cholesky(h)`` and ``inv(L^T)`` to rounding, and a rounding margin
+    keeps every accepted ``h`` one that LAPACK accepts too.  Every
+    source of ``h``, :meth:`SpdParam.bandwidth` included, takes this one
+    path, so the same ``h`` always gives the same bits.
 
     Parameters
     ----------
@@ -240,7 +235,7 @@ class BandwidthMatrix:
     d : int
         Dimension.
     chol : (d, d) ndarray
-        Lower-triangular Cholesky factor ``L``.
+        Lower-triangular Cholesky factor ``L`` (lazy).
     whiten : (d, d) ndarray
         Upper-triangular ``W = inv(L^T)``, so ``z = x W`` has
         ``|z|^2 = x^T H^-1 x``.
@@ -257,31 +252,20 @@ class BandwidthMatrix:
     Raises
     ------
     NotPositiveDefinite
-        If ``h`` is not symmetric positive definite.
+        If ``h`` is not symmetric, not finite, or not positive definite
+        by the rounding margin of :func:`_factor_rows`.
     SingularBandwidth
-        If the determinant underflows to an unusable magnitude.
+        If the determinant, less that margin, is not usable.
     """
 
     # (source, factor) for a matrix made by ``scaled``, else None.
     _scaled_from = None
 
     def __init__(self, h):
-        if isinstance(h, _SymmetricRows):
-            self._rows = h.rows
-            self._chol_rows, whiten, self.det = _factor_rows(h.rows)
-            self.d = len(h.rows)
-            self.whiten = np.array(whiten)
-            return
         self.h = _as_square(np.array(h, dtype=float))
         self.d = self.h.shape[0]
-        self.chol = _factor(self.h)
-        self.whiten = np.linalg.inv(self.chol.T)
-        self.det = _usable_det(_power(math.prod(self.chol.diagonal().tolist()), 2))
-
-    # Set by the constructor, except from SpdParam.bandwidth.
-    @cached_property
-    def h(self):
-        return np.array(self._rows)
+        self._chol_rows, whiten, self.det = _factor_rows(_symmetric_rows(self.h))
+        self.whiten = np.array(whiten)
 
     @cached_property
     def chol(self):
@@ -400,16 +384,11 @@ class SpdParam:
         return np.array(self._rows(theta))
 
     def bandwidth(self, theta):
-        """The ``BandwidthMatrix`` of ``decode(theta)``, factored with no LAPACK call.
+        """The ``BandwidthMatrix`` of ``decode(theta)``, bit for bit.
 
-        ``h`` is ``decode(theta)`` bit for bit.  ``chol`` is the
+        Built from the Python-float rows of ``H``.  ``chol`` is the
         Cholesky factor of that rounded ``h`` (not the ``L`` that
-        ``theta`` holds), ``whiten`` its triangular inverse and ``det``
-        the squared product of its diagonal, all computed in Python
-        floats; they agree with the constructor's LAPACK factors to
-        rounding.  The test that accepts ``h`` is stricter than the
-        constructor's (see :func:`_factor_rows`): whatever it accepts,
-        ``BandwidthMatrix(decode(theta))`` accepts too.
+        ``theta`` holds).
 
         Raises
         ------
@@ -419,7 +398,7 @@ class SpdParam:
         SingularBandwidth
             If the determinant, less that margin, is not usable.
         """
-        return BandwidthMatrix(_SymmetricRows(self._rows(theta)))
+        return BandwidthMatrix(self._rows(theta))
 
     def _rows(self, theta):
         """``H = L L^T`` of ``theta`` as rows of Python floats, see :meth:`decode`."""

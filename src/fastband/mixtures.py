@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, ParseError, ShapeMismatch, UnknownModel
-from .functionals import _pairwise_vstat
+from .functionals import q_r_exact
 from .gaussian import normal_pdf
 from .linalg import as_bandwidth, cholesky
 
@@ -168,8 +168,7 @@ def exact_ise(x, h, mix):
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")
 
     two_h = bw.scaled(2.0)
-    fhat_sq = _pairwise_vstat(
-        x, two_h, lambda u: np.sum(normal_pdf(u.T, two_h)), normal_pdf(np.zeros(d), two_h))
+    fhat_sq = q_r_exact(x, two_h, 0)
 
     cross = 0.0
     for w, mu, sig in zip(mix.weights, mix.means, mix.covs):

@@ -77,7 +77,8 @@ class SelectorConfig:
         Drop duplicate sample rows before selecting (default True).
         On tied data this changes the estimand; see :func:`dedup`.
     min_points : int
-        Smallest accepted sample size after deduplication (default 10).
+        Smallest accepted sample size after deduplication (default 10),
+        an integer of at least 2.
     max_iter : int
         Simplex iteration budget (default 2000), an integer of at least
         0; at 0 only the starting simplex is evaluated.
@@ -118,8 +119,8 @@ class SelectorConfig:
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise OutOfRange(f"tau must be finite and > 0, got {self.tau!r}")
         _functional_order(self.r)
-        if self.min_points < 2:
-            raise OutOfRange("min_points must be at least 2")
+        if not _is_int(self.min_points) or self.min_points < 2:
+            raise OutOfRange(f"min_points must be an integer >= 2, got {self.min_points!r}")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise OutOfRange(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
@@ -154,8 +155,8 @@ class SelectionResult:
     objective : float
         Objective value at ``h``, as the selector evaluated it, from
         :meth:`~fastband.linalg.SpdParam.bandwidth`.  It equals
-        ``lscv_objective(data, h)`` within 1e-12 relative, not bit for
-        bit, because the public constructor refactors ``h`` with LAPACK.
+        ``lscv_objective(data, h)`` bit for bit: every
+        ``BandwidthMatrix`` is factored the same way.
     iterations : int
         Simplex iterations used.
     n_evals : int
@@ -424,8 +425,8 @@ def select_bandwidth(x, config=None):
     the log-Cholesky coordinates of the bandwidth with a Nelder-Mead
     simplex started at the normal-scale bandwidth.  Each evaluation
     builds its ``BandwidthMatrix`` from the coordinates with no LAPACK
-    call (:meth:`~fastband.linalg.SpdParam.bandwidth`), and refuses
-    every matrix that the public constructor refuses.  The binned modes
+    call (:meth:`~fastband.linalg.SpdParam.bandwidth`), so it accepts
+    exactly the matrices that ``BandwidthMatrix(h)`` accepts.  The binned modes
     bin the sample; the FFT modes transform the counts once, on the
     first evaluation, and every later evaluation is a kernel
     tabulation and one sum over its half space (see

@@ -199,15 +199,19 @@ def test_bandwidth_matrix_rejects_singular():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bandwidth_matrix_factors_are_the_numpy_calls(rng, d):
-    # The one-pass constructor keeps the bits of cholesky(h), inv(L^T)
-    # and the squared diagonal product, and holds its own copy of h.
+    # The constructor factors h in Python floats; LAPACK's cholesky(h)
+    # and inv(L^T) are the reference, to within about cond(h) eps.  det
+    # is the squared diagonal product of its own factor, and it holds
+    # its own copy of h.
     for scale in (1e-6, 1.0, 1e6):
         h = random_spd(rng, d, scale=scale)
         bw = BandwidthMatrix(h.tolist())
         chol = np.linalg.cholesky(h)
-        assert bw.chol.tobytes() == chol.tobytes()
-        assert bw.whiten.tobytes() == np.linalg.inv(chol.T).tobytes()
-        assert bw.det == float(np.prod(np.diag(chol)) ** 2)
+        tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(h))
+        assert _rel(bw.chol, chol) <= tol
+        assert _rel(bw.whiten, np.linalg.inv(chol.T)) <= tol
+        assert _rel(bw.det, float(np.prod(np.diag(chol)) ** 2)) <= tol
+        assert bw.det == float(np.prod(np.diag(bw.chol)) ** 2)
         assert bw.h.tobytes() == h.tobytes() and bw.d == d
     held = h.copy()
     bw = BandwidthMatrix(held)
@@ -223,6 +227,7 @@ def test_bandwidth_matrix_factors_are_the_numpy_calls(rng, d):
     ([[np.nan, 0.0], [0.0, 1.0]], NotPositiveDefinite),
     ([[1.0, np.nan], [np.nan, 1.0]], NotPositiveDefinite),
     (np.diag([1e-200, 1e-200]), SingularBandwidth),
+    ([[1.0, np.inf], [np.inf, np.inf]], NotPositiveDefinite),
 ])
 def test_bandwidth_matrix_error_types(h, error):
     with pytest.raises(error):
@@ -242,6 +247,9 @@ def test_bandwidth_matrix_scaled():
     assert bw.det == pytest.approx(16.0)
 
 
+_EPS = np.finfo(float).eps
+
+
 def _rel(a, b):
     return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
 
@@ -259,10 +267,12 @@ def test_bandwidth_matrix_scaled_matches_fresh_factorization(rng, d, factor):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bandwidth_matrix_caches_the_whitening_factor(rng, d):
-    # The inverse-Cholesky whitening is taken once, as every whitening
-    # took it before it was cached, so order-0 tables do not move.
-    bw = BandwidthMatrix(random_spd(rng, d))
-    assert np.array_equal(bw.whiten, np.linalg.inv(bw.chol.T))
+    # The whitening factor is upper-triangular and LAPACK's inv(L^T) of
+    # the cached L to within about cond(h) eps.
+    h = random_spd(rng, d)
+    bw = BandwidthMatrix(h)
+    tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(h))
+    assert _rel(bw.whiten, np.linalg.inv(bw.chol.T)) <= tol
     assert np.array_equal(bw.whiten, np.triu(bw.whiten))
 
 
@@ -301,15 +311,18 @@ def test_bandwidth_matrix_eig_diagonalises_h_and_scales(rng, d):
 
 
 def test_bandwidth_matrix_eig_keeps_a_small_eigenvalue():
-    # Accepted (det 6.9e-24), but eigh(h) rounds its small eigenvalue to 0;
-    # from the whitening factor it keeps the determinant.
+    # Accepted near the rounding margin (1 - rho^2 = 7.7e-15, margin 0.90,
+    # det 9.8e-23): eigh(h) puts its small eigenvalue 4.9e-2 relative
+    # below the factorization's, while from the whitening factor it
+    # keeps the determinant.
     h = np.array([
-        [6.19747244582656e-08, 1.1168038847478099e-04],
-        [1.1168038847478099e-04, 0.2012515469637482],
+        [6.19747244582656e-08, 1.1168038847478056e-04],
+        [1.1168038847478056e-04, 0.2012515469637482],
     ])
     bw = BandwidthMatrix(h)
     lam, _ = bw.eig
-    assert np.linalg.eigvalsh(h)[0] <= 0.0 < lam[0]
+    assert 0.0 < lam[0]
+    assert abs(np.linalg.eigvalsh(h)[0] / lam[0] - 1.0) > 1e-2
     assert np.prod(lam) == pytest.approx(bw.det, rel=1e-6)
 
 
@@ -414,14 +427,23 @@ def test_spd_param_rejects_wrong_sizes():
 # SpdParam.bandwidth: the selector's factor path, with no LAPACK call
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
+def _lapack_accepts(h):
+    """Whether LAPACK's Cholesky factors ``h`` with a usable determinant."""
+    try:
+        chol = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    root = math.prod(np.diag(chol).tolist())
+    det = root * root
+    return bool(np.all(np.isfinite(chol))) and math.isfinite(det) and det >= 1e-300
 
 
 def test_factor_path_refuses_a_pivot_that_lapack_rounds_to_zero():
     # Met by criterion 7's coarse setting (fragile, n = 256, grid 20,
     # default_rng([20260820, 256, 1])).  In Python floats the second
     # pivot is 4.4e-16 > 0; OpenBLAS forms l10 = b (1 / l00), gets
-    # exactly 0 and refuses the matrix.
+    # exactly 0 and refuses the matrix.  The rounding margin refuses it
+    # on any BLAS.
     p = SpdParam(2)
     theta = [-140.407353775145, 1.7019796919003822, -22.521535533260497]
     h = p.decode(theta)
@@ -436,7 +458,8 @@ def test_factor_path_refuses_a_pivot_that_lapack_rounds_to_zero():
 def test_factor_path_refuses_a_3d_matrix_whose_pivots_clear_their_margin():
     # Its Python-float pivots are 1, 3.5e-11 and 1.8e-6 of their diagonal
     # entries, far above an 8 d eps margin, yet LAPACK fails: at d = 3
-    # the error of a small early pivot carries into the later rows.
+    # the error of a small early pivot carries into the later rows.  The
+    # margin on the correlation form refuses it.
     p = SpdParam(3)
     theta = [-15.467777678755375, 3012.2427534077974, -4.0324534028357135,
              -0.00010454635200370209, 2195976.136289836, 3.4948281778967925]
@@ -452,7 +475,8 @@ def test_factor_path_refuses_criterion_7s_determinant_floor_case():
     # determinant from diag(L) is 1.055e-300 and from the Python-float
     # Cholesky of the rounded H 1.06e-300, both above the floor with an
     # 8 d eps margin, yet LAPACK's, from a pivot that lost most of its
-    # digits to cancellation, is 9.97e-301.
+    # digits to cancellation, is 9.97e-301.  The rounding margin (1.21
+    # here) refuses it before its determinant is read.
     p = SpdParam(2)
     theta = [-331.51034004729235, 12.650416842636773, -13.850548727038664]
     h = p.decode(theta)
@@ -461,19 +485,19 @@ def test_factor_path_refuses_criterion_7s_determinant_floor_case():
     l00 = math.sqrt(h[0, 0])
     l10 = h[1, 0] / l00
     assert (l00 * math.sqrt(h[1, 1] - l10 * l10)) ** 2 > floor
-    with pytest.raises(SingularBandwidth):
+    with pytest.raises(NotPositiveDefinite, match="margin"):
         BandwidthMatrix(h)
-    with pytest.raises((NotPositiveDefinite, SingularBandwidth)):
+    with pytest.raises(NotPositiveDefinite, match="margin"):
         p.bandwidth(theta)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(min_value=1, max_value=3), st.booleans(), st.data())
-def test_factor_path_accepts_only_what_the_constructor_accepts(d, diagonal, data):
+def test_factor_path_accepts_only_what_lapack_accepts(d, diagonal, data):
     # Diagonal log-entries in [-300, 300] reach both ends of the
     # determinant's range; wide off-diagonal entries make H nearly
-    # singular.  Whatever the factor path accepts, the public
-    # constructor accepts, so a selected h always passes it again.
+    # singular.  Whatever the factor path accepts, LAPACK's Cholesky of
+    # the same rounded h accepts too, with a usable determinant.
     p = SpdParam(d, diagonal=diagonal)
     diag = st.floats(-300, 300)
     off = st.floats(-1e6, 1e6)
@@ -485,15 +509,15 @@ def test_factor_path_accepts_only_what_the_constructor_accepts(d, diagonal, data
         bw = p.bandwidth(theta)
     except (NotPositiveDefinite, SingularBandwidth):
         return
-    public = BandwidthMatrix(p.decode(theta))
-    assert np.array_equal(bw.h, public.h)
+    assert _lapack_accepts(bw.h)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=3), st.data())
-def test_factor_path_agrees_with_the_public_constructor(d, data):
-    # Two backward-stable Cholesky factorizations of one rounded H
-    # differ by up to about cond(H) eps: 1e-12 relative where H is well
+def test_factor_path_agrees_with_lapack(d, data):
+    # The factor path is the public constructor's, bit for bit.  Against
+    # LAPACK, two backward-stable Cholesky factorizations of one rounded
+    # H differ by up to about cond(H) eps: 1e-12 relative where H is well
     # conditioned.  (Over 6e4 random theta the worst gap was 1.3
     # cond(H) eps.)
     p = SpdParam(d)
@@ -503,27 +527,34 @@ def test_factor_path_agrees_with_the_public_constructor(d, data):
     except (NotPositiveDefinite, SingularBandwidth):
         return
     public = BandwidthMatrix(p.decode(theta))
-    tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(public.h))
-    for name in ("chol", "whiten", "det"):
-        assert _rel(getattr(bw, name), getattr(public, name)) <= tol, name
+    for name in ("h", "chol", "whiten"):
+        assert getattr(bw, name).tobytes() == getattr(public, name).tobytes(), name
+    assert bw.det == public.det
+    chol = np.linalg.cholesky(bw.h)
+    whiten = np.linalg.inv(chol.T)
+    tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(bw.h))
+    assert _rel(bw.chol, chol) <= tol
+    assert _rel(bw.whiten, whiten) <= tol
+    assert _rel(bw.det, float(np.prod(np.diag(chol)) ** 2)) <= tol
     assert np.array_equal(bw.h, p.decode(theta)) and bw.d == d
     assert np.array_equal(bw.chol, np.tril(bw.chol))
     assert np.array_equal(bw.whiten, np.triu(bw.whiten))
     for name in ("inv", "lambda_max", "eig"):
         assert name not in vars(bw)
-    assert _rel(bw.scaled(2.0).whiten, public.scaled(2.0).whiten) <= tol
+    assert _rel(bw.scaled(2.0).whiten, whiten / np.sqrt(2.0)) <= tol
 
 
 @pytest.mark.parametrize("bad", [1e300, -1e300, np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("diagonal", [False, True])
 def test_factor_path_rejects_extreme_coordinates_by_type(bad, diagonal):
-    # An exponential or a square that overflows, a NaN or an infinity:
-    # decode returns a non-finite H, and the factor path refuses it with
-    # a typed error rather than an OverflowError.
+    # An exponential or a square that overflows or underflows, a NaN or
+    # an infinity: decode returns a non-finite or singular H, and the
+    # factor path refuses it as not positive definite rather than with
+    # an OverflowError.
     p = SpdParam(2, diagonal=diagonal)
     for pos in range(p.n_params):
         theta = np.zeros(p.n_params)
         theta[pos] = bad
         assert p.decode(theta).shape == (2, 2)
-        with pytest.raises((NotPositiveDefinite, SingularBandwidth)):
+        with pytest.raises(NotPositiveDefinite):
             p.bandwidth(theta)
