@@ -1,9 +1,9 @@
 #!/bin/sh
 # Tour of the fastband command line interface.
 #
-# Every subcommand emits a JSON run report (deterministic for a fixed
-# --seed) to stdout or to --out.  Exit codes: 0 success, 2 input error,
-# 3 numerical failure.
+# Every subcommand emits a JSON run report to stdout or to --out; the
+# sampling subcommands (ise-study, bench, qr-bench) take --seed.  Exit
+# codes: 0 success, 2 input error, 3 numerical failure.
 set -e
 
 workdir=$(mktemp -d)
@@ -19,11 +19,11 @@ np.savetxt(sys.argv[1], x, delimiter=",")
 EOF
 
 echo "== select: full bandwidth matrix from a CSV sample =="
-fastband select "$workdir/sample.csv" --mode fft-L --grid 150 --seed 1
+fastband select "$workdir/sample.csv" --mode fft-L --grid 150
 
 echo
 echo "== select: diagonal constraint, report written to a file =="
-fastband select "$workdir/sample.csv" --constraint diagonal --seed 1 \
+fastband select "$workdir/sample.csv" --constraint diagonal \
     --out "$workdir/report.json"
 python3 -c "import json; r = json.load(open('$workdir/report.json')); print(r['results']['h'])"
 
@@ -42,7 +42,7 @@ fastband qr-bench --n 300 --r 2 --grid 100 --reps 2 --seed 9
 echo
 echo "== density: dump the estimate on a grid as CSV =="
 fastband density "$workdir/sample.csv" --select --grid 40 \
-    --out "$workdir/density.csv" --seed 1
+    --out "$workdir/density.csv"
 head -3 "$workdir/density.csv"
 echo "rows: $(wc -l < "$workdir/density.csv")"
 

@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from fastband import (
+    autocorrelate,
     effective_halfwidths,
     linear_binning,
     make_grid,
@@ -65,7 +66,7 @@ print("kernel points, trunc :", int(np.prod([2 * l + 1 for l in halfwidths])))
 
 gc180 = linear_binning(x, grid180)
 t0 = time.perf_counter()
-gc180.autocorrelation
+autocorrelate(gc180.counts)
 print(f"\nautocorrelation, once per sample : {1000 * (time.perf_counter() - t0):7.2f} ms")
 for mode in ("fft-M", "fft-L"):
     t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 """Regular grids and linear binning of multivariate samples."""
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -23,9 +24,9 @@ class GridSpec:
     Attributes
     ----------
     lo : (d,) ndarray
-        Coordinate of the first node on each axis.
+        Coordinate of the first node on each axis, finite.
     hi : (d,) ndarray
-        Coordinate of the last node on each axis.
+        Coordinate of the last node on each axis, finite.
     shape : tuple of int
         Number of nodes per axis, each at least 2.
     """
@@ -42,6 +43,8 @@ class GridSpec:
             raise ShapeMismatch("lo, hi and shape must agree in dimension")
         if any(m < 2 for m in shape):
             raise OutOfRange("each axis needs at least 2 nodes")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise OutOfRange("lo and hi must be finite")
         if np.any(hi <= lo):
             raise OutOfRange("hi must exceed lo on every axis")
         object.__setattr__(self, "lo", lo)
@@ -89,8 +92,9 @@ class GridSpec:
 class GridCounts:
     """Linear-binning weights attached to the grid they live on.
 
-    The counts are treated as fixed once attached: the autocorrelation
-    and its folded half are computed on first use and cached.
+    The counts are treated as fixed once attached: the folded half of
+    their autocorrelation is computed on first use and cached, and the
+    full autocorrelation it folds is not kept.
     """
 
     grid: GridSpec
@@ -102,13 +106,10 @@ class GridCounts:
         return float(self.counts.sum())
 
     @cached_property
-    def autocorrelation(self):
-        """Count autocorrelation over all offsets, see :func:`autocorrelate`."""
-        return autocorrelate(self.counts)
-
-    @cached_property
     def folded_autocorrelation(self):
-        """The autocorrelation ``A`` folded onto the half space ``j_1 >= 0`` (cached).
+        """The count autocorrelation ``A`` folded onto the half space ``j_1 >= 0`` (cached).
+
+        ``A`` is :func:`autocorrelate` of the counts, a temporary.
 
         ``W(j) = A(j) + A(-j)`` for ``j_1 > 0`` and ``(A(j) + A(-j)) / 2``
         on the slab ``j_1 = 0``, so ``sum_j A(j) k(j) = sum_{j_1 >= 0}
@@ -117,7 +118,7 @@ class GridCounts:
         1)``, the zero offset at index ``(0, M_2 - 1, ..., M_d - 1)``;
         read-only.
         """
-        a = self.autocorrelation
+        a = autocorrelate(self.counts)
         m = self.counts.shape[0]
         folded = a[m - 1:] + np.flip(a)[m - 1:]
         folded[0] *= 0.5
@@ -136,7 +137,7 @@ def make_grid(x, shape, margin_fraction=0.05):
         Nodes per axis.
     margin_fraction : float, optional
         Fraction of each axis range added below the minimum and above
-        the maximum (default 0.05).
+        the maximum (default 0.05), finite and nonnegative.
 
     Returns
     -------
@@ -146,10 +147,12 @@ def make_grid(x, shape, margin_fraction=0.05):
     ------
     DegenerateAxis
         If all sample values coincide along some axis.
+    OutOfRange
+        If ``margin_fraction`` is negative or not finite.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if margin_fraction < 0:
-        raise OutOfRange("margin_fraction must be nonnegative")
+    if not (math.isfinite(margin_fraction) and margin_fraction >= 0):
+        raise OutOfRange(f"margin_fraction must be finite and >= 0, got {margin_fraction!r}")
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
     rng = maxs - mins

@@ -16,7 +16,6 @@ from .errors import (
     AllDuplicates,
     DegenerateAxis,
     FastbandError,
-    NotPositiveDefinite,
     OutOfRange,
     ParseError,
     ShapeMismatch,
@@ -49,7 +48,6 @@ _INPUT_ERRORS = (
     ShapeMismatch,
     DegenerateAxis,
 )
-_NUMERIC_ERRORS = (NotPositiveDefinite, SingularBandwidth)
 
 # Bandwidth sweep evaluated per benchmark run: geometric factors applied
 # to the normal-scale bandwidth, so every mode does identical work.
@@ -194,7 +192,7 @@ def _resolve_model(args):
 
 
 def _thread_count(args):
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, int(args.threads))
     env = os.environ.get("FASTBAND_THREADS", "")
     return max(1, int(env)) if env.isdigit() else 1
@@ -450,12 +448,17 @@ def cmd_density(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--tau", type=float, default=3.7,
                    help="kernel truncation radius in std deviations")
+    p.add_argument("--out", default=None, help="write output to this file")
+
+
+def _add_study(p):
+    """Options of the subcommands that draw samples and run cells."""
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default FASTBAND_THREADS or 1)")
-    p.add_argument("--out", default=None, help="write output to this file")
 
 
 def build_parser():
@@ -487,7 +490,7 @@ def build_parser():
     p.add_argument("--mode", default="fft-L", choices=SELECTOR_MODES)
     p.add_argument("--threshold", type=float, default=1.0,
                    help="ISE above this counts as a failure")
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=cmd_ise_study)
 
     p = sub.add_parser("bench", help="time the objective pipeline per mode")
@@ -496,7 +499,7 @@ def build_parser():
     p.add_argument("--modes", default="fft-L,fft-M")
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--dim", type=int, default=2)
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("qr-bench", help="compare FFT and exact Q_r statistics")
@@ -505,7 +508,7 @@ def build_parser():
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--dim", type=int, default=2)
-    _add_common(p)
+    _add_study(p)
     p.set_defaults(func=cmd_qr_bench)
 
     p = sub.add_parser("density", help="dump the KDE on a grid as CSV")
@@ -540,8 +543,6 @@ def main(argv=None):
         report = args.func(args)
     except _INPUT_ERRORS as exc:
         return _emit_error(exc, 2)
-    except _NUMERIC_ERRORS as exc:
-        return _emit_error(exc, 3)
     except FastbandError as exc:
         return _emit_error(exc, 3)
     if report is not None:

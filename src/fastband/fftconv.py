@@ -61,10 +61,22 @@ def effective_halfwidths(lambda_max, delta, shape, tau=DEFAULT_TAU):
     -------
     tuple of int
         Half-width ``L_k`` per axis, each at least 1.
+
+    Raises
+    ------
+    OutOfRange
+        If ``lambda_max`` or ``tau`` is not finite and positive, or a
+        step of ``delta`` is not.
+    ShapeMismatch
+        If ``delta`` and ``shape`` differ in length.
     """
     delta = np.asarray(delta, dtype=float).ravel().tolist()
     if len(delta) != len(shape):
         raise ShapeMismatch("delta and shape must agree in dimension")
+    if not (math.isfinite(lambda_max) and math.isfinite(tau)):
+        raise OutOfRange("lambda_max and tau must be finite")
+    if not all(math.isfinite(dk) and dk > 0 for dk in delta):
+        raise OutOfRange("every grid step must be finite and positive")
     return _halfwidths(lambda_max, delta, shape, tau)
 
 

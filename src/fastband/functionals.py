@@ -1,5 +1,6 @@
 """Cross-validation kernels and integrated density derivative functionals."""
 
+import math
 from functools import cached_property
 from string import ascii_letters
 
@@ -108,13 +109,17 @@ def _cv_axes(terms, bw, r, out=None):
     """:func:`cv_kernel` from per-axis terms, as in :func:`~fastband.gaussian._eta_axes`.
 
     At ``r == 0``, :func:`t_h` of the whitening ``u^T H^-1 u``.  Above
-    0, ``2H`` is ``BandwidthMatrix.scaled``, whose eigendecomposition is
-    that of ``H`` with doubled eigenvalues, so one SVD serves both terms.
+    0, the term of ``2H`` follows from ``H`` by Gaussian homogeneity,
+    ``eta_r(u; 2H) = 2^{-d/2-r} eta_r(u / sqrt(2); H)``, so both terms
+    read the one eigendecomposition of ``H`` and no matrix is made for
+    ``2H``.
     """
     if r == 0:
         return _t_of_q(_whitened_sq_axes(terms, bw, out=out), bw)
-    return np.subtract(_eta_axes(terms, bw.scaled(2.0), r), 2.0 * _eta_axes(terms, bw, r),
-                       out=out)
+    root = math.sqrt(2.0)
+    wide = _eta_axes([terms[k] / root for k in range(bw.d)], bw, r)
+    wide *= 2.0 ** (-bw.d / 2 - r)
+    return np.subtract(wide, 2.0 * _eta_axes(terms, bw, r), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +282,8 @@ def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
 class PairDifferences:
     """Differences ``X_i - X_j`` over the pairs ``i < j`` of one sample.
 
-    The exact route's analogue of ``GridCounts.autocorrelation``: the
-    differences do not depend on ``H``, so the table is built on first
+    The exact route's analogue of ``GridCounts.folded_autocorrelation``:
+    the differences do not depend on ``H``, so the table is built on first
     use and cached, and every later evaluation only reads it.  The
     sample is copied and treated as fixed.
 
@@ -411,15 +416,14 @@ def psi_direct(x, h, r=0):
     float
     """
     bw = as_bandwidth(h)
+    # eta_r(0; 2H) - 2 eta_r(0; H) = eta_r(0; H) (2^{-d/2-r} - 2) in Python
+    # floats, by the homogeneity of _cv_axes; at r == 0, T_H(0).
+    at_zero = _eta_zero(bw, r) * (2.0 ** (-bw.d / 2 - r) - 2.0)
     if r == 0:
-        # T_H(0) = K_H(0) (2^{-d/2} - 2) in Python floats: e = exp(-0.0)
-        # is exactly 1.  An overflowing quadratic form gives the kernel's
-        # limit, 0.
-        at_zero = _peak(bw) * (2.0 ** (-bw.d / 2) - 2.0)
+        # An overflowing quadratic form gives the kernel's limit, 0.
         with np.errstate(over="ignore"):
             return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), at_zero)
-    return _pairwise_vstat(x, bw, lambda u: np.sum(_cv_axes(u, bw, r)),
-                           _eta_zero(bw.scaled(2.0), r) - 2.0 * _eta_zero(bw, r))
+    return _pairwise_vstat(x, bw, lambda u: np.sum(_cv_axes(u, bw, r)), at_zero)
 
 
 def q_r_exact(x, sigma, r):

@@ -30,12 +30,6 @@ _MARGIN = 8.0 * sys.float_info.epsilon
 # free functions
 # ---------------------------------------------------------------------------
 
-def _usable_det(det):
-    if not math.isfinite(det) or det < _DET_FLOOR:
-        raise SingularBandwidth(f"determinant {det} is not usable")
-    return det
-
-
 def _exp(x):
     """``exp(x)`` of a Python float, ``inf`` where it overflows."""
     try:
@@ -219,9 +213,13 @@ class BandwidthMatrix:
     binned modes' kernel tables read ``lambda_max``, so an order-0 exact
     evaluation computes none.  The factors agree with LAPACK's
     ``cholesky(h)`` and ``inv(L^T)`` to rounding, and a rounding margin
-    keeps every accepted ``h`` one that LAPACK accepts too.  Every
-    source of ``h``, :meth:`SpdParam.bandwidth` included, takes this one
-    path, so the same ``h`` always gives the same bits.
+    keeps every accepted ``h`` one that LAPACK accepts too.  The
+    constructor is the only way a ``BandwidthMatrix`` is made, for
+    every source of ``h``, :meth:`SpdParam.bandwidth` included, so the
+    same ``h`` always gives the same bits.  No matrix is made for a
+    multiple of ``h``: the kernels of ``2H`` follow from this one's
+    factors by Gaussian homogeneity (see
+    :func:`~fastband.functionals._cv_axes`).
 
     Parameters
     ----------
@@ -258,9 +256,6 @@ class BandwidthMatrix:
         If the determinant, less that margin, is not usable.
     """
 
-    # (source, factor) for a matrix made by ``scaled``, else None.
-    _scaled_from = None
-
     def __init__(self, h):
         self.h = _as_square(np.array(h, dtype=float))
         self.d = self.h.shape[0]
@@ -273,49 +268,16 @@ class BandwidthMatrix:
 
     @cached_property
     def inv(self):
-        if self._scaled_from is None:
-            return np.linalg.inv(self.h)
-        source, factor = self._scaled_from
-        return source.inv / factor
+        return np.linalg.inv(self.h)
 
     @cached_property
     def lambda_max(self):
-        if self._scaled_from is None:
-            return largest_eigenvalue(self.h)
-        source, factor = self._scaled_from
-        return factor * source.lambda_max
+        return largest_eigenvalue(self.h)
 
     @cached_property
     def eig(self):
-        if self._scaled_from is None:
-            vecs, theta, _ = np.linalg.svd(self.whiten)
-            return theta ** -2.0, vecs
-        source, factor = self._scaled_from
-        lam, vecs = source.eig
-        return factor * lam, vecs
-
-    def scaled(self, factor):
-        """Return a new BandwidthMatrix equal to ``factor * h``, without refactoring.
-
-        The cached factors are rescaled: ``chol`` by ``sqrt(factor)``,
-        ``whiten`` by ``1 / sqrt(factor)`` and ``det`` by ``factor^d``;
-        on first read, ``inv`` is this matrix's ``inv / factor``,
-        ``lambda_max`` its ``factor * lambda_max`` and ``eig`` its
-        eigenvectors with the eigenvalues times ``factor``.  So every
-        ``h`` the constructor accepted scales, even where a Cholesky of
-        the rounded ``2 h`` would fail.  A factor that is not positive
-        raises ``NotPositiveDefinite``.
-        """
-        factor = float(factor)
-        if not factor > 0.0:
-            raise NotPositiveDefinite(f"scale factor {factor} is not positive")
-        out = object.__new__(BandwidthMatrix)
-        out.det = _usable_det(self.det * _power(factor, self.d))
-        root = np.sqrt(factor)
-        out.h, out.d, out.chol = factor * self.h, self.d, root * self.chol
-        out.whiten = self.whiten / root
-        out._scaled_from = (self, factor)
-        return out
+        vecs, theta, _ = np.linalg.svd(self.whiten)
+        return theta ** -2.0, vecs
 
     def __repr__(self):
         return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"

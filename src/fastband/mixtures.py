@@ -1,6 +1,7 @@
 """Normal mixture targets: sampling, density, and exact integrated squared error."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,11 @@ def exact_ise(x, h, mix):
         - 2 n^-1 sum_i sum_q w_q Phi_{H + Sigma_q}(X_i - mu_q)
         + sum_q sum_q' w_q w_q' Phi_{Sigma_q + Sigma_q'}(mu_q - mu_q')
 
+    The first sum reads only the factors of ``H``: since
+    ``Phi_{2H}(u) = 2^{-d/2} Phi_H(u / sqrt(2))``, it is ``2^{-d/2}``
+    times the exact pair sum ``q_r_exact(x / sqrt(2), H, 0)``, over the
+    pairs ``i < j``, streamed; no matrix is made for ``2H``.
+
     Parameters
     ----------
     x : (n, d) array_like
@@ -167,8 +173,7 @@ def exact_ise(x, h, mix):
     if d != mix.d or bw.d != d:
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")
 
-    two_h = bw.scaled(2.0)
-    fhat_sq = q_r_exact(x, two_h, 0)
+    fhat_sq = 2.0 ** (-d / 2) * q_r_exact(x / math.sqrt(2.0), bw, 0)
 
     cross = 0.0
     for w, mu, sig in zip(mix.weights, mix.means, mix.covs):

@@ -44,6 +44,9 @@ __all__ = [
 # Evaluation strategies for the selection objective.
 SELECTOR_MODES = ("direct-exact", "direct-binned", "fft-M", "fft-L")
 
+# Fewest distinct sample points select_bandwidth accepts.
+_MIN_POINTS = 10
+
 
 # ---------------------------------------------------------------------------
 # configuration and results
@@ -73,18 +76,9 @@ class SelectorConfig:
         density itself), an integer in ``[0, MAX_FUNCTIONAL_ORDER]``.
     diagonal : bool
         Restrict the search to diagonal bandwidth matrices.
-    dedup : bool
-        Drop duplicate sample rows before selecting (default True).
-        On tied data this changes the estimand; see :func:`dedup`.
-    min_points : int
-        Smallest accepted sample size after deduplication (default 10),
-        an integer of at least 2.
     max_iter : int
         Simplex iteration budget (default 2000), an integer of at least
         0; at 0 only the starting simplex is evaluated.
-    rel_tol : float
-        Relative convergence tolerance for the simplex (default 1e-7),
-        finite and positive.
 
     Raises
     ------
@@ -98,10 +92,7 @@ class SelectorConfig:
     tau: float = DEFAULT_TAU
     r: int = 0
     diagonal: bool = False
-    dedup: bool = True
-    min_points: int = 10
     max_iter: int = 2000
-    rel_tol: float = 1e-7
 
     def __post_init__(self):
         if self.mode not in SELECTOR_MODES:
@@ -119,12 +110,8 @@ class SelectorConfig:
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise OutOfRange(f"tau must be finite and > 0, got {self.tau!r}")
         _functional_order(self.r)
-        if not _is_int(self.min_points) or self.min_points < 2:
-            raise OutOfRange(f"min_points must be an integer >= 2, got {self.min_points!r}")
         if not _is_int(self.max_iter) or self.max_iter < 0:
             raise OutOfRange(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise OutOfRange(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
 
 
 def _is_int(value):
@@ -201,8 +188,8 @@ def dedup(x):
     """Remove exactly repeated rows from a sample.
 
     Duplicate points make the cross-validation objective unbounded
-    below as the bandwidth shrinks, so selection runs on distinct
-    points by default.  On tied (rounded or discretised) data that
+    below as the bandwidth shrinks, so selection always runs on
+    distinct points.  On tied (rounded or discretised) data that
     changes the estimand: the bandwidth is selected for the distinct
     rows, not for the sample.  For 300 standard normal points in 2-D
     rounded to 0.5, 72 to 84 distinct rows remain (seeds 0 to 3) and
@@ -222,10 +209,14 @@ def dedup(x):
 
     Raises
     ------
+    ShapeMismatch
+        If ``x`` has more than two dimensions.
     AllDuplicates
         If fewer than two distinct rows remain.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim > 2:
+        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
     # Rows without columns are all equal; lexsort needs at least one key.
     rows = x[np.lexsort(x.T[::-1])] if x.shape[1] else x
     keep = np.ones(rows.shape[0], dtype=bool)
@@ -421,9 +412,11 @@ def _within(vertices, best, tol):
 def select_bandwidth(x, config=None):
     """Choose an unconstrained bandwidth matrix by cross-validation.
 
-    Prepares the sample once, then minimizes the LSCV objective over
-    the log-Cholesky coordinates of the bandwidth with a Nelder-Mead
-    simplex started at the normal-scale bandwidth.  Each evaluation
+    Prepares the sample once (dropping repeated rows, see
+    :func:`dedup`), then minimizes the LSCV objective over the
+    log-Cholesky coordinates of the bandwidth with a Nelder-Mead
+    simplex started at the normal-scale bandwidth, to the default
+    tolerance of :func:`nelder_mead`.  Each evaluation
     builds its ``BandwidthMatrix`` from the coordinates with no LAPACK
     call (:meth:`~fastband.linalg.SpdParam.bandwidth`), so it accepts
     exactly the matrices that ``BandwidthMatrix(h)`` accepts.  The binned modes
@@ -451,8 +444,10 @@ def select_bandwidth(x, config=None):
     ------
     OutOfRange
         If the sample contains NaN or infinite values.
+    ShapeMismatch
+        If the sample has more than two dimensions.
     TooFewPoints
-        If fewer than ``config.min_points`` distinct points remain.
+        If fewer than 10 distinct points remain.
 
     Examples
     --------
@@ -467,11 +462,10 @@ def select_bandwidth(x, config=None):
     x = x.reshape(-1, 1) if x.ndim == 1 else np.atleast_2d(x)
     if not np.all(np.isfinite(x)):
         raise OutOfRange("sample contains NaN or infinite values")
-    if cfg.dedup:
-        x = dedup(x)
+    x = dedup(x)
     n, d = x.shape
-    if n < cfg.min_points:
-        raise TooFewPoints(f"need at least {cfg.min_points} distinct points, got {n}")
+    if n < _MIN_POINTS:
+        raise TooFewPoints(f"need at least {_MIN_POINTS} distinct points, got {n}")
 
     grid = None
     gc = None
@@ -493,7 +487,7 @@ def select_bandwidth(x, config=None):
         except (FastbandError, np.linalg.LinAlgError, FloatingPointError):
             return np.inf
 
-    sim = nelder_mead(objective, theta0, max_iter=cfg.max_iter, rel_tol=cfg.rel_tol)
+    sim = nelder_mead(objective, theta0, max_iter=cfg.max_iter)
     return SelectionResult(
         h=param.decode(sim.theta),
         objective=sim.f,

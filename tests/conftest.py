@@ -22,7 +22,8 @@ def lscv_eta_tensor(x, h):
     n, d = x.shape
     bw = BandwidthMatrix(h)
     diffs = (x[:, None, :] - x[None, :, :]).reshape(-1, d)
-    pairs = eta_rs(diffs, bw.scaled(2.0), 0, 0, np.eye(d)) - 2.0 * eta_rs(diffs, bw, 0, 0, np.eye(d))
+    two_h = BandwidthMatrix(2.0 * bw.h)
+    pairs = eta_rs(diffs, two_h, 0, 0, np.eye(d)) - 2.0 * eta_rs(diffs, bw, 0, 0, np.eye(d))
     return float(np.sum(pairs)) / (n * n) + 2.0 * eta_rs(np.zeros(d), bw, 0, 0, np.eye(d)) / n
 
 

@@ -251,12 +251,12 @@ def test_criterion_05_reference_dataset_anchor():
     x = np.loadtxt(UNICEF_PATH, delimiter=",")
     assert x.shape[0] == 73
     res = fb.select_bandwidth(
-        x, fb.SelectorConfig(mode="direct-exact", dedup=True)
+        x, fb.SelectorConfig(mode="direct-exact")
     )
     h_ref = np.array([[452.34, -93.96], [-93.96, 26.66]])
     rel = np.abs(res.h - h_ref) / np.abs(h_ref)
     res_d = fb.select_bandwidth(
-        x, fb.SelectorConfig(mode="direct-exact", diagonal=True, dedup=True)
+        x, fb.SelectorConfig(mode="direct-exact", diagonal=True)
     )
     h_ref_d = np.diag([197.41, 11.70])
     rel_d = np.abs(np.diag(res_d.h) - np.diag(h_ref_d)) / np.diag(h_ref_d)

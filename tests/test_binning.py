@@ -11,6 +11,7 @@ from fastband import (
     GridSpec,
     OutOfRange,
     ShapeMismatch,
+    autocorrelate,
     grid_points,
     linear_binning,
     make_grid,
@@ -80,6 +81,10 @@ def test_grid_spec_validation():
         GridSpec(lo=[1.0], hi=[0.0], shape=(4,))
     with pytest.raises(ShapeMismatch):
         GridSpec(lo=[0.0, 1.0], hi=[1.0], shape=(4,))
+    for lo, hi in (([0.0, 0.0], [np.inf, 1.0]), ([-np.inf, 0.0], [1.0, 1.0]),
+                   ([0.0, np.nan], [1.0, 1.0])):
+        with pytest.raises(OutOfRange):
+            GridSpec(lo=lo, hi=hi, shape=(5, 5))
 
 
 def test_make_grid_margin_formula(rng):
@@ -98,8 +103,9 @@ def test_make_grid_degenerate_axis():
 
 
 def test_make_grid_rejects_negative_margin(rng):
-    with pytest.raises(OutOfRange):
-        make_grid(rng.standard_normal((10, 1)), (8,), margin_fraction=-0.1)
+    for margin in (-0.1, np.nan, np.inf):
+        with pytest.raises(OutOfRange):
+            make_grid(rng.standard_normal((10, 2)), (10, 10), margin_fraction=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def test_autocorrelation_computed_once_per_grid_counts(rng, monkeypatch):
         for mode in ("fft-M", "fft-L"):
             psi_binned(gc, scale * np.eye(2), mode=mode)
     assert calls == [(20, 20)]
-    linear_binning(x, gc.grid).autocorrelation
+    linear_binning(x, gc.grid).folded_autocorrelation
     assert len(calls) == 2
 
 
@@ -160,7 +166,7 @@ def test_autocorrelation_computed_once_per_grid_counts(rng, monkeypatch):
 def test_folded_autocorrelation_sums_even_kernels_like_the_full_table(rng, d, m):
     x = rng.standard_normal((60, d))
     gc = linear_binning(x, make_grid(x, (m,) * d))
-    a, w = gc.autocorrelation, gc.folded_autocorrelation
+    a, w = autocorrelate(gc.counts), gc.folded_autocorrelation
     assert w is gc.folded_autocorrelation and not w.flags.writeable
     assert w.shape == (m,) + a.shape[1:]
     ref = a[m - 1:] + np.flip(a)[m - 1:]

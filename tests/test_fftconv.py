@@ -62,6 +62,12 @@ def test_effective_halfwidths_validation():
         effective_halfwidths(1.0, [0.5], (100,), tau=0.0)
     with pytest.raises(ShapeMismatch):
         effective_halfwidths(1.0, [0.5, 0.5], (100,))
+    for lam, tau in ((np.nan, 3.7), (np.inf, 3.7), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(OutOfRange):
+            effective_halfwidths(lam, [0.5], (100,), tau=tau)
+    for step in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(OutOfRange):
+            effective_halfwidths(1.0, [step], (100,))
 
 
 def test_padded_size_full_examples():

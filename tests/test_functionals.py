@@ -61,9 +61,9 @@ def eta_tensor(u, sigma, r):
 
 
 def cv_tensor(u, h, r):
-    """``eta_r(u; 2H) - 2 eta_r(u; H)`` from the derivative tensor."""
+    """``eta_r(u; 2H) - 2 eta_r(u; H)`` from the derivative tensor, with ``2H`` factored afresh."""
     bw = as_bandwidth(h)
-    return eta_tensor(u, bw.scaled(2.0), r) - 2.0 * eta_tensor(u, bw, r)
+    return eta_tensor(u, BandwidthMatrix(2.0 * bw.h), r) - 2.0 * eta_tensor(u, bw, r)
 
 
 def psi_pairwise_oracle(x, h):
@@ -130,8 +130,11 @@ def test_t_h_rotated_ill_conditioning_within_rounding_bound(rng):
 
 def test_edge_bandwidth_accepted_by_every_2h_consumer():
     # Accepted near the rounding margin (1 - rho^2 = 7.7e-15, margin
-    # 0.90): every consumer of 2H reads the scaled factors, not a fresh
-    # factorization of the rounded 2H.
+    # 0.90): every consumer of 2H reads the factors of H, by Gaussian
+    # homogeneity, and gives a finite value.  A fresh factorization of
+    # the rounded 2H is accepted too, but its determinant is not 4 det(H)
+    # here (K_2H(0) moves by 1.8%), so the tensor engine is checked
+    # through the same homogeneity, eta_0(u; 2H) = 2^-1 eta_0(u / sqrt 2; H).
     h = np.array([
         [6.19747244582656e-08, 1.1168038847478056e-04],
         [1.1168038847478056e-04, 0.2012515469637482],
@@ -140,10 +143,13 @@ def test_edge_bandwidth_accepted_by_every_2h_consumer():
     mix = mixture_catalog("fragile")
     x = sample_mixture(mix, 40, np.random.default_rng(0))
     u = np.array([[0.0, 0.0], [1e-4, 0.3]])
-    assert np.isfinite(bw.scaled(2.0).det)
+    assert np.isfinite(BandwidthMatrix(2.0 * h).det)
     assert np.all(np.isfinite(t_h(u, bw)))
-    assert np.allclose(cv_tensor(u, bw, 0), t_h(u, bw), rtol=1e-10)
+    tensor = 0.5 * eta_tensor(u / np.sqrt(2.0), bw, 0) - 2.0 * eta_tensor(u, bw, 0)
+    assert np.allclose(tensor, t_h(u, bw), rtol=1e-10)
     assert np.all(np.isfinite(cv_kernel(u, bw, r=2)))
+    assert np.isfinite(psi_direct(x, bw, r=2))
+    assert np.all(np.isfinite(build_kernel_grid(make_grid(x, (20, 20)), bw, r=2)))
     assert np.isfinite(exact_ise(x, bw, mix))
 
 

@@ -241,12 +241,6 @@ def test_bandwidth_matrix_error_types(h, error):
             cholesky(h)
 
 
-def test_bandwidth_matrix_scaled():
-    bw = BandwidthMatrix(np.eye(2)).scaled(4.0)
-    assert np.allclose(bw.h, 4.0 * np.eye(2))
-    assert bw.det == pytest.approx(16.0)
-
-
 _EPS = np.finfo(float).eps
 
 
@@ -257,12 +251,19 @@ def _rel(a, b):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("factor", [0.25, 2.0, 3.7])
 def test_bandwidth_matrix_scaled_matches_fresh_factorization(rng, d, factor):
+    # The factors of h, rescaled by hand, are those of a fresh factor * h:
+    # the homogeneity the kernels of 2H rely on instead of a second matrix.
     bw = BandwidthMatrix(random_spd(rng, d))
     fresh = BandwidthMatrix(factor * bw.h)
-    out = bw.scaled(factor)
-    assert isinstance(out, BandwidthMatrix) and out.d == d
-    for name in ("h", "chol", "whiten", "det", "inv", "lambda_max"):
-        assert _rel(getattr(out, name), getattr(fresh, name)) <= 1e-14, name
+    root = np.sqrt(factor)
+    expect = {"chol": root * bw.chol, "whiten": bw.whiten / root,
+              "det": bw.det * factor ** d, "inv": bw.inv / factor,
+              "lambda_max": factor * bw.lambda_max}
+    for name, value in expect.items():
+        assert _rel(getattr(fresh, name), value) <= 1e-14, name
+    lam, vecs = fresh.eig
+    assert _rel(lam, factor * bw.eig[0]) <= 1e-14
+    assert np.allclose(np.abs(vecs.T @ bw.eig[1]), np.eye(d), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -286,14 +287,6 @@ def test_bandwidth_matrix_lazy_attributes_keep_their_formulas(rng, d):
     assert np.array_equal(bw.inv, np.linalg.inv(h))
     assert bw.lambda_max == np.linalg.eigvalsh(h)[-1]
     assert bw.inv is bw.inv
-    for factor in (0.25, 2.0, 3.7):
-        for source in (bw, BandwidthMatrix(h)):
-            out = source.scaled(factor)
-            assert np.array_equal(out.inv, np.linalg.inv(h) / factor)
-            assert out.lambda_max == factor * np.linalg.eigvalsh(h)[-1]
-    twice = bw.scaled(2.0).scaled(3.7)
-    assert np.array_equal(twice.inv, np.linalg.inv(h) / 2.0 / 3.7)
-    assert twice.lambda_max == 3.7 * (2.0 * np.linalg.eigvalsh(h)[-1])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -304,10 +297,9 @@ def test_bandwidth_matrix_eig_diagonalises_h_and_scales(rng, d):
     assert np.all(np.diff(lam) >= 0)
     assert np.allclose(lam, np.linalg.eigvalsh(h), rtol=1e-13)
     assert np.allclose(vecs @ np.diag(lam) @ vecs.T, h, rtol=0.0, atol=1e-14)
-    for factor, out in ((2.0, bw.scaled(2.0)), (2.0 * 3.7, bw.scaled(2.0).scaled(3.7))):
-        scaled_lam, scaled_vecs = out.eig
-        assert scaled_vecs is vecs
-        assert np.allclose(scaled_lam, factor * lam, rtol=1e-15)
+    for factor in (2.0, 2.0 * 3.7):
+        scaled_lam, _ = BandwidthMatrix(factor * h).eig
+        assert np.allclose(scaled_lam, factor * lam, rtol=1e-14)
 
 
 def test_bandwidth_matrix_eig_keeps_a_small_eigenvalue():
@@ -346,24 +338,6 @@ def test_as_bandwidth_keeps_an_existing_matrix():
     assert np.array_equal(as_bandwidth(np.eye(2)).h, np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         as_bandwidth(-np.eye(2))
-
-
-def test_bandwidth_matrix_scaled_does_not_refactor(monkeypatch):
-    bw = BandwidthMatrix(np.eye(2))
-    monkeypatch.setattr(BandwidthMatrix, "__init__", None)
-    assert bw.scaled(2.0).det == pytest.approx(4.0)
-
-
-def test_bandwidth_matrix_scaled_rejects_bad_factors():
-    bw = BandwidthMatrix(np.eye(2))
-    for factor in (0.0, -1.0, np.nan):
-        with pytest.raises(NotPositiveDefinite):
-            bw.scaled(factor)
-    # Beyond the determinant's range either way, including a factor^d
-    # that overflows a Python float.
-    for factor in (1e-160, 1e-200, 1e200):
-        with pytest.raises(SingularBandwidth):
-            bw.scaled(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +515,6 @@ def test_factor_path_agrees_with_lapack(d, data):
     assert np.array_equal(bw.whiten, np.triu(bw.whiten))
     for name in ("inv", "lambda_max", "eig"):
         assert name not in vars(bw)
-    assert _rel(bw.scaled(2.0).whiten, whiten / np.sqrt(2.0)) <= tol
 
 
 @pytest.mark.parametrize("bad", [1e300, -1e300, np.nan, np.inf, -np.inf])
