@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -406,6 +407,22 @@ def cmd_qr_bench(args):
     return _make_report("qr-bench", args, results, total_ms=total_ms)
 
 
+def _density_grid(x, h, size, margin, tau):
+    """The density's grid, its margin fraction ``max(margin, max_k tau sqrt(H_kk) / range_k)``.
+
+    Each axis then reaches ``tau`` kernel standard deviations beyond the
+    sample, so a wide ``H`` keeps its mass on the grid.
+    """
+    if not (math.isfinite(tau) and tau > 0):
+        raise OutOfRange(f"tau must be finite and > 0, got {tau!r}")
+    if h.d != x.shape[1]:
+        raise ShapeMismatch(f"bandwidth is {h.d}-D but the sample is {x.shape[1]}-D")
+    # make_grid refuses a bad margin or a zero range before either is used here.
+    grid = make_grid(x, (size,) * h.d, margin)
+    reach = float(np.max(tau * np.sqrt(np.diag(h.h)) / np.ptp(x, axis=0)))
+    return make_grid(x, grid.shape, reach) if reach > margin else grid
+
+
 def cmd_density(args):
     """Evaluate the KDE on a grid and dump coordinates plus values as CSV."""
     x = read_csv(args.data, header=args.header)
@@ -419,7 +436,7 @@ def cmd_density(args):
     else:
         raise ParseError("provide --bandwidth or --select")
 
-    grid = make_grid(x, (args.grid,) * x.shape[1], args.margin)
+    grid = _density_grid(x, h, args.grid, args.margin, args.tau)
     gc = linear_binning(x, grid)
     dens = kde_on_grid(gc, h, mode=args.mode, tau=args.tau)
     if not np.all(np.isfinite(dens)):
@@ -520,7 +537,9 @@ def build_parser():
     p.add_argument("--mode", default="fft-L",
                    choices=("direct-binned", "fft-M", "fft-L"))
     p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--margin", type=float, default=0.05)
+    p.add_argument("--margin", type=float, default=0.05,
+                   help="least grid margin, as a fraction of each axis range; "
+                        "widened to tau sqrt(H_kk) on axis k (default 0.05)")
     p.add_argument("--header", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_density)

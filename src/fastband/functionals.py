@@ -136,17 +136,18 @@ def _tabulate_half(fill, bw, grid, lambda_max, mode, tau):
     ``fill(axes, out)`` writes it into the slab ``j_1 >= 0`` only, from
     offsets ``axes[k]`` that broadcast along their axis (read-only
     slices of ``grid.offsets``), and the slab ``j_1 < 0`` is one copy of
-    that half mirrored through the origin, ``k(-j) = k(j)`` exactly.
+    that half mirrored through the origin by negative-step slices,
+    ``k(-j) = k(j)`` exactly.
     Raises ``ShapeMismatch`` if ``H = bw`` and the grid differ in dimension.
     """
     if bw.d != grid.d:
         raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
-    if mode not in PSI_MODES:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
     if mode == "fft-L":
         halfwidths = _halfwidths(lambda_max, grid.steps, grid.shape, tau)
+    elif mode in PSI_MODES:
+        halfwidths = [m - 1 for m in grid.shape]
     else:
-        halfwidths = tuple(m - 1 for m in grid.shape)
+        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
     axes = [off[m - 1 - l:m + l] for off, m, l in zip(grid.offsets, grid.shape, halfwidths)]
     l1 = halfwidths[0]
     table = np.empty([2 * l + 1 for l in halfwidths])
@@ -155,7 +156,7 @@ def _tabulate_half(fill, bw, grid, lambda_max, mode, tau):
     # An overflowing quadratic form is inf, where every kernel here is 0.
     with np.errstate(over="ignore"):
         fill(axes, half)
-    table[:l1] = np.flip(half[1:])
+    table[:l1] = table[(slice(None, None, -1),) * bw.d][:l1]
     return table
 
 
@@ -168,7 +169,10 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     truncated mode (``"fft-L"``) clips the support to ``tau`` standard
     deviations of the wider kernel ``2H``, with
     ``L_k = min(M_k - 1, ceil(tau sqrt(2 lambda_max(H)) / delta_k))``
-    (see :func:`effective_halfwidths`).  The truncated grid is the
+    (see :func:`effective_halfwidths`), with ``lambda_max(H)`` from
+    ``BandwidthMatrix.lambda_max``: at d <= 2 in Python floats, so an
+    order-0 table calls no ``np.linalg`` routine (see
+    :func:`~fastband.linalg.largest_eigenvalue`).  The truncated grid is the
     full-support grid with the offsets outside that box removed, so the
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
@@ -214,15 +218,16 @@ def _binned_vstat(gc, kernel, mode):
     ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
     absolute value, since ``0 <= W <= 2 A(0)`` and ``A(0) = sum c^2``.
     """
-    counts = gc.counts
     n = gc.n
     if mode == "direct-binned":
-        pair_sum = np.sum(counts * convolve_direct(counts, kernel))
+        pair_sum = np.sum(gc.counts * convolve_direct(gc.counts, kernel))
     else:
-        l1 = (kernel.shape[0] - 1) // 2
+        # The folded table's zero offset sits at index (0, M_2 - 1, ...),
+        # and axis k of the kernel spans 2 L_k + 1 offsets around it.
+        l1 = kernel.shape[0] // 2
         box = [slice(0, l1 + 1)]
-        box += [slice(m - 1 - (s - 1) // 2, m + (s - 1) // 2)
-                for m, s in zip(counts.shape[1:], kernel.shape[1:])]
+        for m, s in zip(gc.grid.shape[1:], kernel.shape[1:]):
+            box.append(slice(m - 1 - s // 2, m + s // 2))
         axes = ascii_letters[:kernel.ndim]
         pair_sum = np.einsum(f"{axes},{axes}->", gc.folded_autocorrelation[tuple(box)],
                              kernel[l1:])

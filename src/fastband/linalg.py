@@ -175,9 +175,22 @@ def cholesky(m):
 
 
 def largest_eigenvalue(m):
-    """Largest eigenvalue of a symmetric matrix."""
+    """Largest eigenvalue of a symmetric matrix, read from its lower triangle.
+
+    At d <= 2 it is computed in Python floats with no LAPACK call:
+    ``m_00`` at d = 1, and ``(a + c) / 2 + hypot((a - c) / 2, b)`` with
+    ``a, b, c = m_00, m_10, m_11`` at d = 2, where for a positive
+    semidefinite ``m`` both terms are non-negative, so nothing cancels
+    (within a few eps of ``eigvalsh``).  Above d = 2, ``eigvalsh(m)[-1]``.
+    """
     m = _as_square(m)
-    return float(np.linalg.eigvalsh(m)[-1])
+    if m.shape[0] > 2:
+        return float(np.linalg.eigvalsh(m)[-1])
+    rows = m.tolist()
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, _), (b, c) = rows
+    return (a + c) / 2 + math.hypot((a - c) / 2, b)
 
 
 def vec(m):
@@ -242,7 +255,8 @@ class BandwidthMatrix:
     inv : (d, d) ndarray
         Inverse of ``h``, ``np.linalg.inv(h)`` (lazy).
     lambda_max : float
-        Largest eigenvalue of ``h``, ``eigvalsh(h)[-1]`` (lazy).
+        Largest eigenvalue of ``h``, :func:`largest_eigenvalue` (lazy):
+        in Python floats at d <= 2, ``eigvalsh(h)[-1]`` above.
     eig : tuple of (d,) and (d, d) ndarray
         Eigenvalues (ascending) and eigenvectors of ``h`` from the SVD of
         ``W``, ``H^-1 = W W^T`` (lazy); ``eigh(h)`` can round a small one to 0.

@@ -1,10 +1,12 @@
 """Tests for the command line interface and run reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from fastband import mixture_catalog, sample_mixture
 from fastband.cli import RunReport, main, read_csv
 from fastband.errors import ParseError
 
@@ -280,12 +282,43 @@ def test_density_requires_bandwidth_or_select(capsys, sample_csv):
 
 
 def test_density_bad_mass_exits_3(capsys, sample_csv):
-    # A bandwidth far wider than the grid box pushes kernel mass outside.
+    # A bandwidth far narrower than a grid step: the grid's nodes cannot
+    # resolve the kernel, and the Riemann sum misses its mass by far.
     code, _, err = run_cli(
-        capsys, "density", "--bandwidth", "50,0;0,50", "--grid", "20", sample_csv
+        capsys, "density", "--bandwidth", "1e-4,0;0,1e-4", "--grid", "20", sample_csv
     )
     assert code == 3
     assert "mass" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("matrix", ["50,0;0,50", "0.3,0;0,0.3"])
+def test_density_grid_margin_reaches_tau_kernel_widths(capsys, sample_csv, matrix):
+    # The margin widens to tau sqrt(H_kk) per axis, so even a bandwidth
+    # far wider than the sample keeps its mass on the grid.
+    code, out, _ = run_cli(
+        capsys, "density", "--bandwidth", matrix, "--grid", "40", sample_csv
+    )
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",")
+    x = np.loadtxt(sample_csv, delimiter=",")
+    span = np.ptp(x, axis=0)
+    frac = max(0.05, float(np.max(3.7 * math.sqrt(float(matrix.split(",")[0])) / span)))
+    assert np.allclose(rows[:, :2].min(axis=0), x.min(axis=0) - frac * span)
+    assert np.allclose(rows[:, :2].max(axis=0), x.max(axis=0) + frac * span)
+
+
+def test_density_select_keeps_a_wide_selection_on_the_grid(capsys, tmp_path):
+    # A correlated n = 150 sample whose selected H lost 6.5% of its mass
+    # off a grid with the fixed 5% margin (grid mass 0.935).
+    x = sample_mixture(mixture_catalog("correlated"), 150,
+                       np.random.default_rng(np.random.SeedSequence(74).spawn(1)[0]))
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    code, out, _ = run_cli(capsys, "density", "--select", str(path))
+    assert code == 0
+    rows = np.loadtxt(out.splitlines(), delimiter=",")
+    steps = [np.diff(np.unique(rows[:, k]))[0] for k in (0, 1)]
+    assert 0.999 <= rows[:, 2].sum() * steps[0] * steps[1] <= 1.001
 
 
 def test_density_non_spd_bandwidth_exits_3(capsys, sample_csv):

@@ -140,6 +140,23 @@ def test_largest_eigenvalue_annihilates_determinant(rng):
         assert abs(np.linalg.det(shifted)) <= 1e-8 * max(1.0, abs(np.linalg.det(m)))
 
 
+def test_largest_eigenvalue_tracks_lapack_up_to_cond_1e14():
+    # The Python-float formula at d <= 2 against LAPACK's eigvalsh: exact
+    # at d = 1, and within 4 eps relative at d = 2 however ill-conditioned.
+    rng = np.random.default_rng(7)
+    eps = np.finfo(float).eps
+    for cond in np.logspace(0, 14, 29):
+        for _ in range(20):
+            phi = rng.uniform(0.0, math.pi)
+            q = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+            h = 10.0 ** rng.uniform(-6, 6) * (q * [1.0, 1.0 / cond]) @ q.T
+            h = (h + h.T) / 2
+            ref = np.linalg.eigvalsh(h)[-1]
+            assert abs(largest_eigenvalue(h) - ref) <= 4 * eps * ref, (cond, h)
+    for v in 10.0 ** rng.uniform(-300, 300, size=50):
+        assert largest_eigenvalue([[v]]) == np.linalg.eigvalsh([[v]])[-1]
+
+
 def test_known_matrix_eigenvalue():
     h_a = np.array([[452.34, -93.96], [-93.96, 26.66]])
     assert largest_eigenvalue(h_a) == pytest.approx(eig2x2_oracle(h_a), rel=1e-14)
@@ -279,8 +296,9 @@ def test_bandwidth_matrix_caches_the_whitening_factor(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bandwidth_matrix_lazy_attributes_keep_their_formulas(rng, d):
-    # inv and lambda_max are computed on first read, by the same calls
-    # as when they were eager, so the fft-L box does not move.
+    # inv and lambda_max are computed on first read.  inv is LAPACK's;
+    # lambda_max is in Python floats at d <= 2 and here still equals
+    # eigvalsh bit for bit, so the fft-L box does not move.
     h = random_spd(rng, d)
     bw = BandwidthMatrix(h)
     assert "inv" not in vars(bw) and "lambda_max" not in vars(bw)

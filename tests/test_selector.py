@@ -154,7 +154,8 @@ def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mod
     # One evaluation: the bandwidth, then the objective.  The
     # constructor factors h in Python floats, from a matrix or from
     # coordinates, so an inv would be H^-1, which the exact route does
-    # not read; fft-L reads lambda_max once, to size its box.
+    # not read; fft-L reads lambda_max once, to size its box, also in
+    # Python floats at d = 2.
     x = rng.standard_normal((80, 2))
     data = PairDifferences(x) if mode == "direct-exact" else linear_binning(
         x, make_grid(x, (30, 30)))
@@ -175,7 +176,7 @@ def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mod
             monkeypatch.setattr(np.linalg, name, counting(name, fn))
     bw = BandwidthMatrix(h) if source == "matrix" else param.bandwidth(theta)
     assert np.isfinite(lscv_objective(data, bw, mode=mode))
-    assert calls == Counter({"eigvalsh": 1} if mode == "fft-L" else {})
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("r", [0, 2])
@@ -520,6 +521,25 @@ def test_fft_selection_does_not_depend_on_blas_threads():
     sizes = [int(line.split()[1]) for line in out["1"].splitlines()]
     assert len(sizes) == 2 and min(sizes) > 10_000
     assert out["1"] == out["2"]
+
+
+@pytest.mark.parametrize("name", ["correlated", "bimodal", "trimodal"])
+def test_fft_l_selection_matches_a_lapack_sized_box(monkeypatch, name):
+    # lambda_max only sizes the fft-L box, through a ceil, so its Python
+    # floats select bit for bit what LAPACK's eigvalsh selects.
+    x = sample_mixture(mixture_catalog(name), 500, np.random.default_rng(11))
+    cfg = SelectorConfig(grid_size=60)
+    gc = linear_binning(x, make_grid(x, (60, 60)))
+
+    def outputs():
+        res = select_bandwidth(x, cfg)
+        return (res.h.tobytes(), res.objective, res.n_evals,
+                kde_on_grid(gc, res.h).tobytes())
+
+    fast = outputs()
+    monkeypatch.setattr(BandwidthMatrix, "lambda_max",
+                        property(lambda bw: float(np.linalg.eigvalsh(bw.h)[-1])))
+    assert outputs() == fast
 
 
 @pytest.mark.parametrize("rep", range(3))

@@ -96,5 +96,8 @@ def test_traced_selection_records_every_layer_per_evaluation():
         if mode == "direct-exact":
             assert spans.count("functionals.psi_direct") == res.n_evals
         else:
-            assert spans.count("functionals.build_kernel_grid") == res.n_evals
+            # Each layer of the binned chain, once per evaluation.
+            for name in ("selector.lscv_objective", "functionals.psi_binned",
+                         "functionals.build_kernel_grid"):
+                assert spans.count(name) == res.n_evals, name
             assert counts["functionals.kernel_points"] > 0
