@@ -3,10 +3,8 @@
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ from .errors import (
     TooFewPoints,
     UnknownModel,
 )
-from .functionals import q_r_binned, q_r_exact
+from .functionals import PSI_MODES, q_r_binned, q_r_exact
 from .linalg import BandwidthMatrix
 from .mixtures import exact_ise, load_mixture, mixture_catalog, sample_mixture
 from .selector import (
@@ -192,21 +190,6 @@ def _resolve_model(args):
     return mixture_catalog(args.model)
 
 
-def _thread_count(args):
-    if args.threads:
-        return max(1, int(args.threads))
-    env = os.environ.get("FASTBAND_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
-
-
-def _map_cells(func, cells, threads):
-    """Evaluate cells, possibly in a worker pool, keeping input order."""
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(func, cells))
-    return [func(c) for c in cells]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -275,15 +258,11 @@ def cmd_ise_study(args):
     mix = _resolve_model(args)
     if args.reps < 1:
         raise OutOfRange("reps must be at least 1")
-    cells = [(n, g) for n in _int_list(args.n) for g in _int_list(args.grids)]
-
-    def run(cell):
-        n, g = cell
-        return _ise_cell(
-            mix, n, g, args.reps, args.seed, args.mode, args.tau, args.threshold
-        )
-
-    outcomes = _map_cells(run, cells, _thread_count(args))
+    outcomes = [
+        _ise_cell(mix, n, g, args.reps, args.seed, args.mode, args.tau, args.threshold)
+        for n in _int_list(args.n)
+        for g in _int_list(args.grids)
+    ]
     results = {
         "model": args.model if not args.model_file else args.model_file,
         "threshold": args.threshold,
@@ -327,15 +306,8 @@ def cmd_bench(args):
             raise OutOfRange(f"unknown mode {m!r}; expected one of {SELECTOR_MODES}")
     if args.reps < 1:
         raise OutOfRange("reps must be at least 1")
-    cells = [
-        (mode, n, g)
-        for mode in modes
-        for n in _int_list(args.n)
-        for g in _int_list(args.grids)
-    ]
 
-    def run(cell):
-        mode, n, g = cell
+    def run(mode, n, g):
         rng = np.random.default_rng([args.seed, n])
         x = rng.standard_normal((n, args.dim))
         _bench_objective_run(x, mode, g, args.tau)
@@ -353,7 +325,12 @@ def cmd_bench(args):
             "evals_per_run": len(_BENCH_FACTORS),
         }
 
-    results = {"cells": _map_cells(run, cells, _thread_count(args))}
+    results = {"cells": [
+        run(mode, n, g)
+        for mode in modes
+        for n in _int_list(args.n)
+        for g in _int_list(args.grids)
+    ]}
     total_ms = (time.perf_counter() - t_start) * 1000.0
     return _make_report("bench", args, results, total_ms=total_ms)
 
@@ -367,10 +344,8 @@ def cmd_qr_bench(args):
             raise OutOfRange(f"r must be even and in [0, 8], got {r}")
     if args.reps < 1:
         raise OutOfRange("reps must be at least 1")
-    cells = [(n, r) for n in _int_list(args.n) for r in r_list]
 
-    def run(cell):
-        n, r = cell
+    def run(n, r):
         rng = np.random.default_rng([args.seed, n])
         x = rng.standard_normal((n, args.dim))
         sigma = BandwidthMatrix(normal_scale_start(x))
@@ -402,7 +377,10 @@ def cmd_qr_bench(args):
             "direct_ms": direct_ms,
         }
 
-    results = {"grid": args.grid, "cells": _map_cells(run, cells, _thread_count(args))}
+    results = {
+        "grid": args.grid,
+        "cells": [run(n, r) for n in _int_list(args.n) for r in r_list],
+    }
     total_ms = (time.perf_counter() - t_start) * 1000.0
     return _make_report("qr-bench", args, results, total_ms=total_ms)
 
@@ -474,8 +452,6 @@ def _add_study(p):
     """Options of the subcommands that draw samples and run cells."""
     _add_common(p)
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default FASTBAND_THREADS or 1)")
 
 
 def build_parser():
@@ -534,8 +510,7 @@ def build_parser():
                    help="bandwidth matrix as 'a,b;c,d'")
     p.add_argument("--select", action="store_true",
                    help="select the bandwidth first")
-    p.add_argument("--mode", default="fft-L",
-                   choices=("direct-binned", "fft-M", "fft-L"))
+    p.add_argument("--mode", default="fft-L", choices=PSI_MODES)
     p.add_argument("--grid", type=int, default=100)
     p.add_argument("--margin", type=float, default=0.05,
                    help="least grid margin, as a fraction of each axis range; "

@@ -73,19 +73,21 @@ def effective_halfwidths(lambda_max, delta, shape, tau=DEFAULT_TAU):
     delta = np.asarray(delta, dtype=float).ravel().tolist()
     if len(delta) != len(shape):
         raise ShapeMismatch("delta and shape must agree in dimension")
-    if not (math.isfinite(lambda_max) and math.isfinite(tau)):
-        raise OutOfRange("lambda_max and tau must be finite")
     if not all(math.isfinite(dk) and dk > 0 for dk in delta):
         raise OutOfRange("every grid step must be finite and positive")
     return _halfwidths(lambda_max, delta, shape, tau)
 
 
 def _halfwidths(lambda_max, steps, shape, tau):
-    """:func:`effective_halfwidths` for ``steps``, a sequence of Python floats."""
-    if lambda_max <= 0:
-        raise OutOfRange("lambda_max must be positive")
-    if tau <= 0:
-        raise OutOfRange("tau must be positive")
+    """:func:`effective_halfwidths` for ``steps``, a sequence of Python floats.
+
+    Checks ``lambda_max`` and ``tau`` but trusts ``steps``; NaN fails
+    ``0 < x < inf``, so every non-finite value raises ``OutOfRange``.
+    """
+    if not 0 < lambda_max < math.inf:
+        raise OutOfRange(f"lambda_max must be finite and positive, got {lambda_max!r}")
+    if not 0 < tau < math.inf:
+        raise OutOfRange(f"tau must be finite and positive, got {tau!r}")
     radius = tau * math.sqrt(lambda_max)
     return tuple([max(1, min(int(mk) - 1, math.ceil(radius / dk)))
                   for dk, mk in zip(steps, shape)])

@@ -126,12 +126,14 @@ def _cv_axes(terms, bw, r, out=None):
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _tabulate_half(fill, bw, grid, lambda_max, mode, tau):
+def _tabulate_half(fill, bw, grid, factor, mode, tau):
     """Tabulate an even kernel at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
 
     ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
-    box from ``lambda_max``, the largest eigenvalue of the widest
-    Gaussian tabulated (see :func:`effective_halfwidths`).  Every kernel
+    box from ``factor * bw.lambda_max``, the largest eigenvalue of
+    ``factor * H``, the widest Gaussian tabulated (see
+    :func:`effective_halfwidths`); no other mode reads ``lambda_max``.
+    Every kernel
     here is even (a Gaussian's derivatives of even order), so
     ``fill(axes, out)`` writes it into the slab ``j_1 >= 0`` only, from
     offsets ``axes[k]`` that broadcast along their axis (read-only
@@ -143,7 +145,7 @@ def _tabulate_half(fill, bw, grid, lambda_max, mode, tau):
     if bw.d != grid.d:
         raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
     if mode == "fft-L":
-        halfwidths = _halfwidths(lambda_max, grid.steps, grid.shape, tau)
+        halfwidths = _halfwidths(factor * bw.lambda_max, grid.steps, grid.shape, tau)
     elif mode in PSI_MODES:
         halfwidths = [m - 1 for m in grid.shape]
     else:
@@ -186,7 +188,7 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     """
     bw = as_bandwidth(h)
     return _tabulate_half(lambda axes, out: _cv_axes(axes, bw, r, out=out),
-                          bw, grid, 2.0 * bw.lambda_max, mode, tau)
+                          bw, grid, 2.0, mode, tau)
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
@@ -196,7 +198,7 @@ def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
     """
     bw = as_bandwidth(sigma)
     return _tabulate_half(lambda axes, out: _eta_axes(axes, bw, r, out=out),
-                          bw, grid, bw.lambda_max, mode, tau)
+                          bw, grid, 1.0, mode, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -198,17 +198,6 @@ def test_ise_study_unknown_model_exits_2(capsys):
     assert json.loads(err)["error"]["type"] == "UnknownModel"
 
 
-def test_ise_study_threads_match_serial(capsys):
-    base = (
-        "ise-study", "--model", "standard", "--n", "64", "--grids", "20,40",
-        "--reps", "2", "--seed", "5",
-    )
-    _, serial, _ = run_cli(capsys, *base)
-    _, threaded, _ = run_cli(capsys, *base, "--threads", "2")
-    a, b = json.loads(serial), json.loads(threaded)
-    assert a["results"]["cells"] == b["results"]["cells"]
-
-
 # ---------------------------------------------------------------------------
 # bench and qr-bench
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from fastband import (
     eta_kernel_grid,
     eta_rs,
     exact_ise,
+    kde_on_grid,
     kh_zero,
     linear_binning,
+    lscv_objective,
     make_grid,
     mixture_catalog,
     normal_pdf,
@@ -547,6 +549,17 @@ def test_psi_modes_validated(rng):
     gc = linear_binning(x, make_grid(x, (8, 8)))
     with pytest.raises(OutOfRange):
         psi_binned(gc, np.eye(2), mode="fft-X")
+    # fft-L sizes its box from tau: a non-finite tau is out of range at
+    # every binned entry point, not a raw error from math.ceil.
+    h = 0.1 * np.eye(2)
+    for tau in (np.nan, np.inf):
+        for call in (lambda: build_kernel_grid(gc.grid, h, mode="fft-L", tau=tau),
+                     lambda: psi_binned(gc, h, mode="fft-L", tau=tau),
+                     lambda: q_r_binned(gc, h, 0, mode="fft-L", tau=tau),
+                     lambda: lscv_objective(gc, h, mode="fft-L", tau=tau),
+                     lambda: kde_on_grid(gc, h, mode="fft-L", tau=tau)):
+            with pytest.raises(OutOfRange):
+                call()
 
 
 # ---------------------------------------------------------------------------

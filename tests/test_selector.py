@@ -16,6 +16,7 @@ from fastband import (
     SELECTOR_MODES,
     AllDuplicates,
     BandwidthMatrix,
+    NormalMixture,
     OutOfRange,
     PairDifferences,
     SelectorConfig,
@@ -24,6 +25,7 @@ from fastband import (
     SpdParam,
     TooFewPoints,
     dedup,
+    exact_ise,
     kde_on_grid,
     linear_binning,
     lscv_objective,
@@ -149,19 +151,13 @@ def test_lscv_objective_builds_no_further_bandwidth_matrix(rng, monkeypatch, mod
 
 
 @pytest.mark.parametrize("source", ["matrix", "theta"])
-@pytest.mark.parametrize("mode", ["direct-exact", "fft-L"])
+@pytest.mark.parametrize("mode", ["direct-exact", "fft-L", "fft-M", "direct-binned"])
 def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mode, source):
     # One evaluation: the bandwidth, then the objective.  The
     # constructor factors h in Python floats, from a matrix or from
     # coordinates, so an inv would be H^-1, which the exact route does
-    # not read; fft-L reads lambda_max once, to size its box, also in
-    # Python floats at d = 2.
-    x = rng.standard_normal((80, 2))
-    data = PairDifferences(x) if mode == "direct-exact" else linear_binning(
-        x, make_grid(x, (30, 30)))
-    h = normal_scale_start(x)
-    param = SpdParam(2)
-    theta = param.encode(h)
+    # not read.  Only fft-L reads lambda_max, once, to size its box: in
+    # Python floats at d = 2, by one eigvalsh at d = 3.
     calls = Counter()
 
     def counting(name, fn):
@@ -174,9 +170,17 @@ def test_order_zero_evaluation_computes_only_what_it_reads(rng, monkeypatch, mod
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counting(name, fn))
-    bw = BandwidthMatrix(h) if source == "matrix" else param.bandwidth(theta)
-    assert np.isfinite(lscv_objective(data, bw, mode=mode))
-    assert calls == Counter()
+    for d, size in ((2, 30), (3, 8)):
+        x = rng.standard_normal((80, d))
+        data = PairDifferences(x) if mode == "direct-exact" else linear_binning(
+            x, make_grid(x, (size,) * d))
+        h = normal_scale_start(x)
+        param = SpdParam(d)
+        theta = param.encode(h)
+        calls.clear()
+        bw = BandwidthMatrix(h) if source == "matrix" else param.bandwidth(theta)
+        assert np.isfinite(lscv_objective(data, bw, mode=mode))
+        assert calls == (Counter(eigvalsh=1) if (mode, d) == ("fft-L", 3) else Counter())
 
 
 @pytest.mark.parametrize("r", [0, 2])
@@ -607,6 +611,25 @@ def test_selected_h_is_the_one_the_objective_evaluated(mode, r, diagonal):
         dedup(x), res.grid)
     # The selector and the public constructor factor h the same way.
     assert res.objective == lscv_objective(data, res.h, r=r, mode=mode)
+
+
+@pytest.mark.parametrize("seed", [[3, 0], [3, 1]], ids=["s0", "s1"])
+@pytest.mark.parametrize("cov", [
+    np.eye(3), np.array([[1.0, 0.7, 0.4], [0.7, 1.0, 0.5], [0.4, 0.5, 1.0]]),
+], ids=["standard", "correlated"])
+def test_fft_l_selects_a_3d_bandwidth(cov, seed):
+    # A coarse 3-D grid still resolves the selected kernel, whose ISE
+    # stays near the normal-scale one, and the binned objective stays
+    # near the exact one at the same H.
+    mix = NormalMixture(np.ones(1), np.zeros((1, 3)), cov)
+    x = sample_mixture(mix, 300, np.random.default_rng(seed))
+    res = select_bandwidth(x, SelectorConfig(mode="fft-L", grid_size=31))
+    assert res.converged and res.n_rejected == 0
+    assert math.sqrt(np.linalg.eigvalsh(res.h)[0]) >= np.max(res.grid.delta)
+    ise = exact_ise(x, BandwidthMatrix(res.h), mix)
+    assert ise < 1.5 * exact_ise(x, BandwidthMatrix(normal_scale_start(x)), mix)
+    exact = lscv_objective(x, res.h, mode="direct-exact")
+    assert abs(res.objective - exact) < 0.1 * abs(exact)
 
 
 def test_select_bandwidth_reports_its_binning_time(rng):
