@@ -15,6 +15,7 @@ from .gaussian import (
     _as_points,
     _eta_axes,
     _eta_zero,
+    _functional_order,
     _peak,
     _whitened_sq_axes,
     eta_r,
@@ -126,39 +127,49 @@ def _cv_axes(terms, bw, r, out=None):
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _tabulate_half(fill, bw, grid, factor, mode, tau):
-    """Tabulate an even kernel at the grid offsets ``delta * j``, ``j`` in ``[-L, L]^d``.
+def _box_halfwidths(bw, grid, factor, mode, tau):
+    """Half-widths ``L`` of the kernel box ``[-L, L]^d``, in grid steps, as a tuple.
 
     ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
     box from ``factor * bw.lambda_max``, the largest eigenvalue of
     ``factor * H``, the widest Gaussian tabulated (see
     :func:`effective_halfwidths`); no other mode reads ``lambda_max``.
-    Every kernel
-    here is even (a Gaussian's derivatives of even order), so
-    ``fill(axes, out)`` writes it into the slab ``j_1 >= 0`` only, from
-    offsets ``axes[k]`` that broadcast along their axis (read-only
-    slices of ``grid.offsets``), and the slab ``j_1 < 0`` is one copy of
-    that half mirrored through the origin by negative-step slices,
-    ``k(-j) = k(j)`` exactly.
     Raises ``ShapeMismatch`` if ``H = bw`` and the grid differ in dimension.
     """
     if bw.d != grid.d:
         raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
     if mode == "fft-L":
-        halfwidths = _halfwidths(factor * bw.lambda_max, grid.steps, grid.shape, tau)
-    elif mode in PSI_MODES:
-        halfwidths = [m - 1 for m in grid.shape]
-    else:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
+        return _halfwidths(factor * bw.lambda_max, grid.steps, grid.shape, tau)
+    if mode in PSI_MODES:
+        return tuple([m - 1 for m in grid.shape])
+    raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
+
+
+def _slab_axes(grid, halfwidths):
+    """Offsets and shape of the slab ``j_1 >= 0`` of the box ``[-L, L]^d``.
+
+    Every kernel tabulated here is even (a Gaussian's derivatives of
+    even order), so only that slab, of shape ``(L_1 + 1, 2 L_2 + 1, ...,
+    2 L_d + 1)``, is tabulated: from offsets ``axes[k]`` that broadcast
+    along their axis, read-only slices of ``grid.offsets``.  The binned
+    sums read the slab alone; :func:`_mirrored` completes the table.
+    """
     axes = [off[m - 1 - l:m + l] for off, m, l in zip(grid.offsets, grid.shape, halfwidths)]
     l1 = halfwidths[0]
-    table = np.empty([2 * l + 1 for l in halfwidths])
-    half = table[l1:]
     axes[0] = axes[0][l1:]
-    # An overflowing quadratic form is inf, where every kernel here is 0.
-    with np.errstate(over="ignore"):
-        fill(axes, half)
-    table[:l1] = table[(slice(None, None, -1),) * bw.d][:l1]
+    return axes, (l1 + 1,) + tuple([2 * l + 1 for l in halfwidths[1:]])
+
+
+def _mirrored(half):
+    """The full table ``[-L, L]^d`` of an even kernel from its slab ``j_1 >= 0``.
+
+    The slab ``j_1 < 0`` is the slab ``j_1 > 0`` mirrored through the
+    origin by negative-step slices, ``k(-j) = k(j)`` exactly.
+    """
+    l1 = half.shape[0] - 1
+    table = np.empty((2 * l1 + 1,) + half.shape[1:])
+    table[l1:] = half
+    table[:l1] = half[(slice(None, None, -1),) * half.ndim][:l1]
     return table
 
 
@@ -179,16 +190,22 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
 
-    The half space ``j_1 >= 0`` is tabulated by broadcasting per-axis
-    terms (see :func:`_cv_axes`) and mirrored (see :func:`_tabulate_half`).
+    A wrapper over the tabulation that every evaluation of the
+    objective runs (see :class:`_LscvScorer`): the half space
+    ``j_1 >= 0`` is tabulated by broadcasting per-axis terms (see
+    :func:`_cv_axes`, :func:`_slab_axes`), and this table is that slab
+    mirrored through the origin (:func:`_mirrored`); the scorer's sums
+    read the slab alone.
 
     Returns
     -------
     ndarray of shape ``(2 L_1 + 1, ..., 2 L_d + 1)``.
     """
     bw = as_bandwidth(h)
-    return _tabulate_half(lambda axes, out: _cv_axes(axes, bw, r, out=out),
-                          bw, grid, 2.0, mode, tau)
+    axes, shape = _slab_axes(grid, _box_halfwidths(bw, grid, 2.0, mode, tau))
+    # An overflowing quadratic form gives the kernel's limit, 0.
+    with np.errstate(over="ignore"):
+        return _mirrored(_cv_axes(axes, bw, r, out=np.empty(shape)))
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
@@ -196,43 +213,56 @@ def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
 
     At ``r == 0``, the Gaussian density of ``u^T sigma^-1 u``.
     """
-    bw = as_bandwidth(sigma)
-    return _tabulate_half(lambda axes, out: _eta_axes(axes, bw, r, out=out),
-                          bw, grid, 1.0, mode, tau)
+    return _mirrored(_eta_half(as_bandwidth(sigma), grid, r, mode, tau))
+
+
+def _eta_half(bw, grid, r, mode, tau):
+    """The slab ``j_1 >= 0`` of :func:`eta_kernel_grid`; ``_eta_axes`` ignores overflow itself."""
+    axes, shape = _slab_axes(grid, _box_halfwidths(bw, grid, 1.0, mode, tau))
+    return _eta_axes(axes, bw, r, out=np.empty(shape))
 
 
 # ---------------------------------------------------------------------------
 # binned pairwise sums
 # ---------------------------------------------------------------------------
 
-def _binned_vstat(gc, kernel, mode):
-    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for a tabulated even kernel.
+def _folded_box(gc, shape):
+    """The view of ``gc.folded_autocorrelation`` under a kernel slab of ``shape``.
 
-    ``"direct-binned"`` convolves offset by offset.  The FFT modes use
-    the identity ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)`` with the
-    count autocorrelation ``A``, restricted to the kernel's box ``B``.
-    For an even ``k`` that sum is ``sum_{j in B, j_1 >= 0} W(j)
-    k(delta j)`` with the cached folded table ``W``
-    (``GridCounts.folded_autocorrelation``): half the multiply-adds,
-    read in place by ``np.einsum``, which sums in numpy's own loop, so
-    no BLAS call is made and the result does not depend on the BLAS
-    thread count.  The terms dropped outside ``B`` are then at most
+    The folded table's zero offset sits at index ``(0, M_2 - 1, ...)``,
+    and axis ``k > 1`` of the slab spans ``2 L_k + 1`` offsets around it.
+    """
+    box = [slice(0, shape[0])]
+    for m, s in zip(gc.grid.shape[1:], shape[1:]):
+        box.append(slice(m - 1 - s // 2, m + s // 2))
+    return gc.folded_autocorrelation[tuple(box)]
+
+
+def _binned_vstat(gc, half, mode, folded=None):
+    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for an even kernel from its slab ``j_1 >= 0``.
+
+    ``half`` is the slab of :func:`_slab_axes`.  ``"direct-binned"``
+    mirrors it into the full table and convolves offset by offset.  The
+    FFT modes use the identity ``sum_i c_i (c * k)_i = sum_j A(j)
+    k(delta j)`` with the count autocorrelation ``A``, restricted to the
+    kernel's box ``B``.  For an even ``k`` that sum is ``sum_{j in B,
+    j_1 >= 0} W(j) k(delta j)`` with the cached folded table ``W``
+    (``GridCounts.folded_autocorrelation``, under the slab
+    :func:`_folded_box`, or ``folded`` if given): the slab alone, read in
+    place by ``np.einsum``, which sums in numpy's own loop, so no BLAS
+    call is made and the result does not depend on the BLAS thread
+    count.  The terms dropped outside ``B`` are then at most
     ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
     absolute value, since ``0 <= W <= 2 A(0)`` and ``A(0) = sum c^2``.
     """
     n = gc.n
     if mode == "direct-binned":
-        pair_sum = np.sum(gc.counts * convolve_direct(gc.counts, kernel))
+        pair_sum = np.sum(gc.counts * convolve_direct(gc.counts, _mirrored(half)))
     else:
-        # The folded table's zero offset sits at index (0, M_2 - 1, ...),
-        # and axis k of the kernel spans 2 L_k + 1 offsets around it.
-        l1 = kernel.shape[0] // 2
-        box = [slice(0, l1 + 1)]
-        for m, s in zip(gc.grid.shape[1:], kernel.shape[1:]):
-            box.append(slice(m - 1 - s // 2, m + s // 2))
-        axes = ascii_letters[:kernel.ndim]
-        pair_sum = np.einsum(f"{axes},{axes}->", gc.folded_autocorrelation[tuple(box)],
-                             kernel[l1:])
+        if folded is None:
+            folded = _folded_box(gc, half.shape)
+        axes = ascii_letters[:half.ndim]
+        pair_sum = np.einsum(f"{axes},{axes}->", folded, half)
     return float(pair_sum / (n * n))
 
 
@@ -242,13 +272,15 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
     binning: with counts ``c`` and the tabulated kernel ``k`` (see
     :func:`build_kernel_grid`), returns ``n^-2 sum_i c_i (c * k)_i``.
-    Each call costs one kernel tabulation and one sum, made as in
-    :func:`_binned_vstat`: in the FFT modes over half the table against
-    the count autocorrelation folded onto it once per sample
+    A wrapper over the pair sum that every binned evaluation of the
+    objective runs (see :class:`_LscvScorer`): one tabulation of the
+    kernel's slab ``j_1 >= 0`` and one sum, made as in
+    :func:`_binned_vstat`: in the FFT modes over that slab against the
+    count autocorrelation folded onto it once per sample
     (``gc.folded_autocorrelation``), without BLAS; in
-    ``"direct-binned"`` offset by offset, without any transform.
-    ``"fft-L"`` drops exactly the terms at offsets outside its box, a
-    part that :func:`_binned_vstat` bounds.
+    ``"direct-binned"`` offset by offset over the mirrored table,
+    without any transform.  ``"fft-L"`` drops exactly the terms at
+    offsets outside its box, a part that :func:`_binned_vstat` bounds.
 
     Parameters
     ----------
@@ -270,16 +302,18 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     """
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("psi_binned expects GridCounts from linear_binning")
-    kernel = build_kernel_grid(gc.grid, h, r=r, mode=mode, tau=tau)
-    return _binned_vstat(gc, kernel, mode)
+    bw = as_bandwidth(h)
+    if mode not in PSI_MODES:
+        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
+    with np.errstate(over="ignore"):
+        return _LscvScorer(gc, r, mode, tau).pair_sum(bw)
 
 
 def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
     """Binned V-statistic ``n^-2 sum_i c_i (c * k)_i`` with ``k = eta_r``."""
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("q_r_binned expects GridCounts from linear_binning")
-    kernel = eta_kernel_grid(gc.grid, sigma, r, mode=mode, tau=tau)
-    return _binned_vstat(gc, kernel, mode)
+    return _binned_vstat(gc, _eta_half(as_bandwidth(sigma), gc.grid, r, mode, tau), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +440,9 @@ def psi_direct(x, h, r=0):
     with the rows of each ``(d, p)`` block of differences as the
     per-axis terms of :func:`_cv_axes`.  At ``r == 0`` the block sum is
     ``K_H(0) (2^{-d/2} sum e - 2 sum e^2)``, ``e = exp(-q / 4)`` (see
-    :func:`_t_sum`).
+    :func:`_t_sum`).  A wrapper over the pair sum that every
+    ``"direct-exact"`` evaluation of the objective runs (see
+    :class:`_LscvScorer`).
 
     Parameters
     ----------
@@ -423,17 +459,105 @@ def psi_direct(x, h, r=0):
     float
     """
     bw = as_bandwidth(h)
-    # eta_r(0; 2H) - 2 eta_r(0; H) = eta_r(0; H) (2^{-d/2-r} - 2) in Python
-    # floats, by the homogeneity of _cv_axes; at r == 0, T_H(0).
-    at_zero = _eta_zero(bw, r) * (2.0 ** (-bw.d / 2 - r) - 2.0)
-    if r == 0:
-        # An overflowing quadratic form gives the kernel's limit, 0.
-        with np.errstate(over="ignore"):
-            return _pairwise_vstat(x, bw, lambda u: _t_sum(u, bw), at_zero)
-    return _pairwise_vstat(x, bw, lambda u: np.sum(_cv_axes(u, bw, r)), at_zero)
+    # An overflowing quadratic form gives the kernel's limit, 0.
+    with np.errstate(over="ignore"):
+        return _LscvScorer(x, r, "direct-exact").pair_sum(bw)
 
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
     bw = as_bandwidth(sigma)
     return _pairwise_vstat(x, bw, lambda u: np.sum(_eta_axes(u, bw, r)), _eta_zero(bw, r))
+
+
+# ---------------------------------------------------------------------------
+# the objective of one prepared sample
+# ---------------------------------------------------------------------------
+
+class _LscvScorer:
+    """The LSCV objective of one prepared sample, as a function of ``H`` alone.
+
+    Every evaluation of the objective, the selector's and the public
+    wrappers' (``lscv_objective``, :func:`psi_binned`,
+    :func:`psi_direct`), runs through one of these.  It is built once per
+    sample: it checks the data against ``mode`` and ``r``, and holds what
+    every evaluation reads.  For ``"fft-M"`` and ``"fft-L"`` that is the
+    binned sample with its grid (offsets, steps and shape) and the count
+    autocorrelation folded onto ``j_1 >= 0``, computed here; for
+    ``"direct-binned"``, the counts, summed by ``convolve_direct``, the
+    FFT-free oracle; for ``"direct-exact"``, the sample's
+    ``PairDifferences``, whose table is built here, or a raw sample,
+    streamed per evaluation.  Then ``scorer(bw)``, for a ``BandwidthMatrix``
+    or the per-evaluation factors of ``SpdParam._factors``, is
+
+        (-1)^r [n^-2 sum_ij (eta_r(X_i - X_j; 2H) - 2 eta_r(X_i - X_j; H))
+                + 2 n^-1 eta_r(0; H)]
+
+    with the pair sum from :meth:`pair_sum`, and nothing further is
+    checked but the bandwidth's dimension.  Binned evaluations tabulate
+    only the kernel's slab ``j_1 >= 0`` (:func:`_slab_axes`), and
+    ``kernel_points`` counts the entries tabulated; it stays 0 in
+    ``"direct-exact"``.  An overflowing quadratic form gives the
+    kernel's limit, 0, so calls run under ``np.errstate(over="ignore")``.
+
+    Raises
+    ------
+    OutOfRange
+        If ``mode`` is unknown or ``r`` is not a functional order.
+    ShapeMismatch
+        If ``data`` does not suit ``mode``.
+    """
+
+    def __init__(self, data, r=0, mode="fft-L", tau=DEFAULT_TAU):
+        if r != 0:
+            _functional_order(r)
+        if mode == "direct-exact":
+            if isinstance(data, GridCounts):
+                raise ShapeMismatch("direct-exact mode expects the raw sample or PairDifferences")
+            if isinstance(data, PairDifferences):
+                self.n = data.n
+                data.blocks  # the pair table, built once, here
+            else:
+                data = np.atleast_2d(np.asarray(data, dtype=float))
+                self.n = data.shape[0]
+        elif mode in PSI_MODES:
+            if not isinstance(data, GridCounts):
+                raise ShapeMismatch("binned modes expect GridCounts")
+            self.n = data.n
+            if mode != "direct-binned":
+                data.folded_autocorrelation  # folded once, here
+        else:
+            raise OutOfRange(f"unknown mode {mode!r}")
+        self.data, self.r, self.mode, self.tau = data, r, mode, tau
+        self.kernel_points = 0
+        # Per box half-widths: the slab's offsets and shape, and the view
+        # of the folded autocorrelation under it.
+        self._boxes = {}
+
+    def pair_sum(self, bw):
+        """``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, exact or binned by the mode."""
+        r = self.r
+        if self.mode == "direct-exact":
+            # eta_r(0; 2H) - 2 eta_r(0; H) = eta_r(0; H) (2^{-d/2-r} - 2) in
+            # Python floats, by the homogeneity of _cv_axes; at r == 0, T_H(0).
+            at_zero = _eta_zero(bw, r) * (2.0 ** (-bw.d / 2 - r) - 2.0)
+            if r == 0:
+                return _pairwise_vstat(self.data, bw, lambda u: _t_sum(u, bw), at_zero)
+            return _pairwise_vstat(self.data, bw, lambda u: np.sum(_cv_axes(u, bw, r)), at_zero)
+        gc = self.data
+        halfwidths = _box_halfwidths(bw, gc.grid, 2.0, self.mode, self.tau)
+        box = self._boxes.get(halfwidths)
+        if box is None:
+            axes, shape = _slab_axes(gc.grid, halfwidths)
+            folded = None if self.mode == "direct-binned" else _folded_box(gc, shape)
+            box = self._boxes[halfwidths] = axes, shape, folded
+        axes, shape, folded = box
+        half = _cv_axes(axes, bw, r, out=np.empty(shape))
+        self.kernel_points += half.size
+        return _binned_vstat(gc, half, self.mode, folded)
+
+    def __call__(self, bw):
+        pair_part = self.pair_sum(bw)
+        at_zero = _eta_zero(bw, self.r)
+        sign = -1.0 if self.r % 2 else 1.0
+        return sign * (pair_part + 2.0 * at_zero / self.n)

@@ -40,7 +40,8 @@ def _whitened_sq_axes(terms, bw, out=None):
 
     Whitening by ``L^-1`` (``L = bw.chol``) rather than multiplying by
     ``H^-1`` keeps the accuracy of a triangular solve when ``H`` is
-    ill-conditioned.  With ``W = bw.whiten = inv(L^T)``,
+    ill-conditioned.  With ``W = inv(L^T)``, read from its rows
+    ``bw.whiten_rows`` (Python floats),
     ``z_m = sum_k terms[k] W[k, m]`` and the result is ``sum_m z_m^2``.
     ``W`` is upper triangular, so ``z_m`` only sums ``k <= m``.  The
     terms may be any arrays that broadcast together: the columns of
@@ -51,17 +52,17 @@ def _whitened_sq_axes(terms, bw, out=None):
     result, receives the last ``z_m`` and then the sum, in place, with
     the same bits.
     """
-    w = bw.whiten
+    w = bw.whiten_rows
     q = None
     for m in range(bw.d):
         into = out if m == bw.d - 1 else None
         if m == 0:
-            z = np.multiply(terms[0], w[0, 0], out=into)
+            z = np.multiply(terms[0], w[0][0], out=into)
         else:
-            z = terms[0] * w[0, m]
+            z = terms[0] * w[0][m]
             for k in range(1, m):
-                z = z + terms[k] * w[k, m]
-            z = np.add(z, terms[m] * w[m, m], out=into)
+                z = z + terms[k] * w[k][m]
+            z = np.add(z, terms[m] * w[m][m], out=into)
         # z is a new array or out, and its shape spans every axis q spans.
         z *= z
         q = z if q is None else np.add(q, z, out=z)

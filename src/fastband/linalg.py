@@ -58,7 +58,7 @@ def _symmetric_rows(m):
     """Rows of a validated square float matrix ``m``, as Python floats.
 
     ``m`` must be symmetric, exactly or to ``allclose(m, m.T, rtol=1e-10,
-    atol=1e-12)``, and finite.
+    atol=1e-12)``, and finite (:func:`_finite_rows`).
     """
     # An exactly symmetric m, such as SpdParam.decode's L L^T, is settled
     # on its Python floats, which costs less than an array comparison at
@@ -66,6 +66,11 @@ def _symmetric_rows(m):
     rows = m.tolist()
     if not (rows == m.T.tolist() or np.allclose(m, m.T, rtol=1e-10, atol=1e-12)):
         raise NotPositiveDefinite("matrix is not symmetric")
+    return _finite_rows(rows)
+
+
+def _finite_rows(rows):
+    """``rows``, if every entry is finite."""
     if not all(math.isfinite(a) for row in rows for a in row):
         raise NotPositiveDefinite("matrix is not finite")
     return rows
@@ -183,10 +188,13 @@ def largest_eigenvalue(m):
     semidefinite ``m`` both terms are non-negative, so nothing cancels
     (within a few eps of ``eigvalsh``).  Above d = 2, ``eigvalsh(m)[-1]``.
     """
-    m = _as_square(m)
-    if m.shape[0] > 2:
-        return float(np.linalg.eigvalsh(m)[-1])
-    rows = m.tolist()
+    return _largest_eigenvalue_rows(_as_square(m).tolist())
+
+
+def _largest_eigenvalue_rows(rows):
+    """:func:`largest_eigenvalue` of a matrix given as rows of Python floats."""
+    if len(rows) > 2:
+        return float(np.linalg.eigvalsh(np.array(rows))[-1])
     if len(rows) == 1:
         return rows[0][0]
     (a, _), (b, c) = rows
@@ -212,26 +220,67 @@ def kron_power(v, r):
 # bandwidth matrix wrapper
 # ---------------------------------------------------------------------------
 
-class BandwidthMatrix:
+class _Factors:
+    """The factors of a symmetric matrix given as rows of Python floats.
+
+    What one evaluation of a kernel reads, and nothing it does not:
+    ``rows`` itself, the dimension ``d``, the rows of the whitening
+    factor ``W = inv(L^T)`` and the determinant, all from one
+    :func:`_factor_rows`; ``whiten``, ``lambda_max`` and ``eig`` are
+    computed on first read and cached.  The rows must already be
+    symmetric and finite (:func:`_symmetric_rows`, or
+    :meth:`SpdParam._factors`, whose rows are symmetric by construction).
+    Every ``BandwidthMatrix`` is one of these, and the selector builds one
+    per evaluation straight from the simplex's coordinates, with no array
+    made.
+
+    Raises
+    ------
+    NotPositiveDefinite, SingularBandwidth
+        As :func:`_factor_rows`.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.d = len(rows)
+        self._chol_rows, self.whiten_rows, self.det = _factor_rows(rows)
+
+    @cached_property
+    def whiten(self):
+        return np.array(self.whiten_rows)
+
+    @cached_property
+    def lambda_max(self):
+        return _largest_eigenvalue_rows(self.rows)
+
+    @cached_property
+    def eig(self):
+        vecs, theta, _ = np.linalg.svd(self.whiten)
+        return theta ** -2.0, vecs
+
+
+class BandwidthMatrix(_Factors):
     """A symmetric positive definite bandwidth matrix with cached factors.
 
     The constructor validates the matrix in one pass (one conversion and
     copy, one symmetry and finiteness check) and factors it in Python
     floats with no LAPACK call (:func:`_factor_rows`), computing what
-    every evaluation reads: the whitening factor ``W = inv(L^T)`` of the
-    Cholesky factor ``L`` and the determinant.  ``chol`` becomes an
-    array on first read; ``inv``, ``lambda_max`` and ``eig`` are
-    computed on first read and cached: only the derivative tensors read
-    ``inv``, only kernels above order 0 read ``eig``, and only the
-    binned modes' kernel tables read ``lambda_max``, so an order-0 exact
-    evaluation computes none.  The factors agree with LAPACK's
-    ``cholesky(h)`` and ``inv(L^T)`` to rounding, and a rounding margin
-    keeps every accepted ``h`` one that LAPACK accepts too.  The
-    constructor is the only way a ``BandwidthMatrix`` is made, for
-    every source of ``h``, :meth:`SpdParam.bandwidth` included, so the
-    same ``h`` always gives the same bits.  No matrix is made for a
-    multiple of ``h``: the kernels of ``2H`` follow from this one's
-    factors by Gaussian homogeneity (see
+    every evaluation reads: the rows of the whitening factor
+    ``W = inv(L^T)`` of the Cholesky factor ``L`` and the determinant.
+    ``chol`` and ``whiten`` become arrays on first read; ``inv``,
+    ``lambda_max`` and ``eig`` are computed on first read and cached:
+    only the derivative tensors read ``inv``, only kernels above order 0
+    read ``eig``, and only the ``fft-L`` kernel tables read
+    ``lambda_max``, so an order-0 exact evaluation computes none.  The
+    factors agree with LAPACK's ``cholesky(h)`` and ``inv(L^T)`` to
+    rounding, and a rounding margin keeps every accepted ``h`` one that
+    LAPACK accepts too.  The constructor is the only way a
+    ``BandwidthMatrix`` is made, for every source of ``h``,
+    :meth:`SpdParam.bandwidth` included, and the selector's per-evaluation
+    factors (:meth:`SpdParam._factors`) run the same checks and the same
+    factorization on the same rows, so the same ``h`` always gives the
+    same bits.  No matrix is made for a multiple of ``h``: the kernels of
+    ``2H`` follow from this one's factors by Gaussian homogeneity (see
     :func:`~fastband.functionals._cv_axes`).
 
     Parameters
@@ -249,7 +298,8 @@ class BandwidthMatrix:
         Lower-triangular Cholesky factor ``L`` (lazy).
     whiten : (d, d) ndarray
         Upper-triangular ``W = inv(L^T)``, so ``z = x W`` has
-        ``|z|^2 = x^T H^-1 x``.
+        ``|z|^2 = x^T H^-1 x`` (lazy; the kernels read its rows,
+        ``whiten_rows``).
     det : float
         Determinant of ``h``, the squared product of ``diag(L)``.
     inv : (d, d) ndarray
@@ -272,9 +322,7 @@ class BandwidthMatrix:
 
     def __init__(self, h):
         self.h = _as_square(np.array(h, dtype=float))
-        self.d = self.h.shape[0]
-        self._chol_rows, whiten, self.det = _factor_rows(_symmetric_rows(self.h))
-        self.whiten = np.array(whiten)
+        super().__init__(_symmetric_rows(self.h))
 
     @cached_property
     def chol(self):
@@ -283,15 +331,6 @@ class BandwidthMatrix:
     @cached_property
     def inv(self):
         return np.linalg.inv(self.h)
-
-    @cached_property
-    def lambda_max(self):
-        return largest_eigenvalue(self.h)
-
-    @cached_property
-    def eig(self):
-        vecs, theta, _ = np.linalg.svd(self.whiten)
-        return theta ** -2.0, vecs
 
     def __repr__(self):
         return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
@@ -375,6 +414,18 @@ class SpdParam:
             If the determinant, less that margin, is not usable.
         """
         return BandwidthMatrix(self._rows(theta))
+
+    def _factors(self, theta):
+        """The factors of ``decode(theta)`` that :meth:`bandwidth` computes, with no array made.
+
+        ``_rows`` mirrors every entry, so the rows are exactly symmetric
+        and the constructor's symmetry test could only fail on a NaN,
+        which the finiteness test refuses with the same type.  The same
+        rows then go through the same :func:`_factor_rows`, so this
+        accepts and rejects exactly the ``h`` that :meth:`bandwidth`
+        does, with the same bits and the same exception types.
+        """
+        return _Factors(_finite_rows(self._rows(theta)))
 
     def _rows(self, theta):
         """``H = L L^T`` of ``theta`` as rows of Python floats, see :meth:`decode`."""

@@ -2,6 +2,7 @@
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from numbers import Integral
@@ -19,13 +20,16 @@ from .errors import (
     TooFewPoints,
 )
 from .fftconv import DEFAULT_TAU, convolve, convolve_direct
+# ``psi_binned`` and ``psi_direct`` are unused here; perfbench/tracing.py
+# patches them by these names.
 from .functionals import (
     PairDifferences,
+    _LscvScorer,
     eta_kernel_grid,
     psi_binned,
     psi_direct,
 )
-from .gaussian import _eta_zero, _functional_order
+from .gaussian import _functional_order
 from .linalg import SpdParam, as_bandwidth
 
 __all__ = [
@@ -46,6 +50,9 @@ SELECTOR_MODES = ("direct-exact", "direct-binned", "fft-M", "fft-L")
 
 # Fewest distinct sample points select_bandwidth accepts.
 _MIN_POINTS = 10
+
+# Exceptions that make an evaluation a rejection, scored as inf.
+_REJECTED = (FastbandError, np.linalg.LinAlgError, FloatingPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +147,10 @@ class SelectionResult:
         Selected bandwidth matrix: ``SpdParam.decode(theta)``, the ``h``
         that the objective evaluated at ``theta``.
     objective : float
-        Objective value at ``h``, as the selector evaluated it, from
-        :meth:`~fastband.linalg.SpdParam.bandwidth`.  It equals
-        ``lscv_objective(data, h)`` bit for bit: every
-        ``BandwidthMatrix`` is factored the same way.
+        Objective value at ``h``, as the selector evaluated it, from the
+        factors of ``SpdParam._factors``.  It equals
+        ``lscv_objective(data, h)`` bit for bit: ``BandwidthMatrix(h)``
+        is factored the same way, and both are scored by the same code.
     iterations : int
         Simplex iterations used.
     n_evals : int
@@ -163,6 +170,25 @@ class SelectionResult:
         Evaluations the objective rejected, by an exception (a matrix
         too close to singular, or coordinates that overflow, say) or a
         non-finite value; each counted as ``inf``.  At most ``n_evals``.
+    precompute_ms : float
+        Wall time of the per-sample work done once before the search, in
+        milliseconds: the folded count autocorrelation for ``"fft-M"``
+        and ``"fft-L"``, the pair table for ``"direct-exact"`` (about 0
+        for ``"direct-binned"``, which sums the counts directly).
+    decode_ms : float
+        Time spent mapping the simplex's coordinates to the factors of
+        ``H``, summed over evaluations, in milliseconds.
+    score_ms : float
+        Time spent scoring those factors (kernel tabulation and pair
+        sum), summed over evaluations, in milliseconds.  The simplex's
+        own bookkeeping is outside all four times.
+    kernel_points : int
+        Kernel table entries tabulated, summed over evaluations: the
+        slab ``j_1 >= 0`` of each table; 0 for ``"direct-exact"``.
+    rejections : dict of str to int
+        Rejected evaluations by cause: the exception's type name, or
+        ``"non-finite"`` for a score that is not finite.  The counts sum
+        to ``n_rejected``.
     theta : (p,) ndarray
         Log-Cholesky coordinates of ``h`` (see ``SpdParam``).
     """
@@ -177,6 +203,11 @@ class SelectionResult:
     grid: Optional[GridSpec] = None
     binning_ms: float = 0.0
     n_rejected: int = 0
+    precompute_ms: float = 0.0
+    decode_ms: float = 0.0
+    score_ms: float = 0.0
+    kernel_points: int = 0
+    rejections: dict = field(default_factory=dict)
     theta: np.ndarray = field(default=None, repr=False)
 
 
@@ -227,10 +258,40 @@ def dedup(x):
     return out
 
 
+def _as_sample(x):
+    """``x`` as an ``(n, d)`` float array; a 1-d array is ``n`` points in one dimension.
+
+    Raises ``ShapeMismatch`` above two dimensions and ``OutOfRange`` if a
+    value is NaN or infinite.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
+    x = x.reshape(-1, 1) if x.ndim == 1 else np.atleast_2d(x)
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange("sample contains NaN or infinite values")
+    return x
+
+
 def normal_scale_start(x, diagonal=False):
-    """Normal-scale starting bandwidth ``n^(-2 / (d + 4)) * cov(X)``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Normal-scale starting bandwidth ``n^(-2 / (d + 4)) * cov(X)``.
+
+    ``x`` is an ``(n, d)`` sample; a 1-d array is read as ``n`` points in
+    one dimension, as :func:`select_bandwidth` reads it.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the sample has more than two dimensions.
+    OutOfRange
+        If the sample contains NaN or infinite values.
+    TooFewPoints
+        If it has fewer than two rows, which a covariance needs.
+    """
+    x = _as_sample(x)
     n, d = x.shape
+    if n < 2:
+        raise TooFewPoints(f"need at least 2 points for a covariance, got {n}")
     factor = float(n) ** (-2.0 / (d + 4))
     cov = np.cov(x, rowvar=False).reshape(d, d)
     if diagonal:
@@ -253,6 +314,10 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     which at ``r == 0`` is the classic criterion
     ``n^-2 sum_ij T_H(X_i - X_j) + 2 n^-1 K_H(0)``.  The double sum is
     exact in ``"direct-exact"`` mode and linearly binned otherwise.
+    A wrapper over the scorer that :func:`select_bandwidth` prepares
+    once per sample and calls at every step (see
+    :class:`~fastband.functionals._LscvScorer`), so it returns the
+    selector's value bit for bit.
 
     Parameters
     ----------
@@ -277,23 +342,8 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     if mode not in SELECTOR_MODES:
         raise OutOfRange(f"unknown mode {mode!r}; expected one of {SELECTOR_MODES}")
     bw = as_bandwidth(h)
-    if mode == "direct-exact":
-        if isinstance(data, GridCounts):
-            raise ShapeMismatch("direct-exact mode expects the raw sample or PairDifferences")
-        if isinstance(data, PairDifferences):
-            n = data.n
-        else:
-            data = np.atleast_2d(np.asarray(data, dtype=float))
-            n = data.shape[0]
-        pair_part = psi_direct(data, bw, r=r)
-    else:
-        if not isinstance(data, GridCounts):
-            raise ShapeMismatch("binned modes expect GridCounts")
-        n = data.n
-        pair_part = psi_binned(data, bw, r=r, mode=mode, tau=tau)
-    at_zero = _eta_zero(bw, r)
-    sign = -1.0 if r % 2 else 1.0
-    return sign * (pair_part + 2.0 * at_zero / n)
+    with np.errstate(over="ignore"):
+        return _LscvScorer(data, r, mode, tau)(bw)
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +466,17 @@ def select_bandwidth(x, config=None):
     :func:`dedup`), then minimizes the LSCV objective over the
     log-Cholesky coordinates of the bandwidth with a Nelder-Mead
     simplex started at the normal-scale bandwidth, to the default
-    tolerance of :func:`nelder_mead`.  Each evaluation
-    builds its ``BandwidthMatrix`` from the coordinates with no LAPACK
-    call (:meth:`~fastband.linalg.SpdParam.bandwidth`), so it accepts
-    exactly the matrices that ``BandwidthMatrix(h)`` accepts.  The binned modes
-    bin the sample; the FFT modes transform the counts once, on the
-    first evaluation, and every later evaluation is a kernel
-    tabulation and one sum over its half space (see
-    :func:`~fastband.functionals.psi_binned`).  ``"direct-exact"``
-    builds the sample's ``PairDifferences`` once, on the first
-    evaluation, and every evaluation sums the kernel over its
-    ``n (n - 1) / 2`` pairs.
+    tolerance of :func:`nelder_mead`.  The binned modes bin the sample,
+    and one scorer is prepared per sample
+    (:class:`~fastband.functionals._LscvScorer`): the FFT modes fold the
+    count autocorrelation once, and ``"direct-exact"`` builds the
+    sample's ``PairDifferences``.  Each evaluation then factors ``H``
+    straight from the coordinates, in Python floats with no array made
+    (``SpdParam._factors``, which accepts exactly the matrices that
+    ``BandwidthMatrix(h)`` accepts), and scores it: a tabulation of the
+    kernel's slab ``j_1 >= 0`` and one sum over it (see
+    :func:`~fastband.functionals.psi_binned`), or a sum over the
+    ``n (n - 1) / 2`` pairs.  The result carries the time of each phase.
 
     Parameters
     ----------
@@ -458,36 +508,51 @@ def select_bandwidth(x, config=None):
     (2, 2)
     """
     cfg = config or SelectorConfig()
-    x = np.asarray(x, dtype=float)
-    x = x.reshape(-1, 1) if x.ndim == 1 else np.atleast_2d(x)
-    if not np.all(np.isfinite(x)):
-        raise OutOfRange("sample contains NaN or infinite values")
-    x = dedup(x)
+    x = dedup(_as_sample(x))
     n, d = x.shape
     if n < _MIN_POINTS:
         raise TooFewPoints(f"need at least {_MIN_POINTS} distinct points, got {n}")
 
     grid = None
-    gc = None
     binning_ms = 0.0
-    if cfg.mode != "direct-exact":
+    if cfg.mode == "direct-exact":
+        data = PairDifferences(x)
+    else:
         t0 = time.perf_counter()
         grid = make_grid(x, (cfg.grid_size,) * d, cfg.margin_fraction)
-        gc = linear_binning(x, grid)
+        data = linear_binning(x, grid)
         binning_ms = (time.perf_counter() - t0) * 1000.0
-    data = PairDifferences(x) if cfg.mode == "direct-exact" else gc
+    t0 = time.perf_counter()
+    scorer = _LscvScorer(data, cfg.r, cfg.mode, cfg.tau)
+    precompute_ms = (time.perf_counter() - t0) * 1000.0
 
     param = SpdParam(d, diagonal=cfg.diagonal)
     theta0 = param.encode(normal_scale_start(x, diagonal=cfg.diagonal))
+    clock = [0, 0]
+    rejections = Counter()
 
     def objective(theta):
+        t0 = time.perf_counter_ns()
+        t1 = None
         try:
-            h = param.bandwidth(theta)
-            return lscv_objective(data, h, r=cfg.r, mode=cfg.mode, tau=cfg.tau)
-        except (FastbandError, np.linalg.LinAlgError, FloatingPointError):
-            return np.inf
+            factors = param._factors(theta)
+            t1 = time.perf_counter_ns()
+            value = scorer(factors)
+        except _REJECTED as exc:
+            value, kind = math.inf, type(exc).__name__
+        else:
+            kind = None if math.isfinite(value) else "non-finite"
+        t2 = time.perf_counter_ns()
+        t1 = t2 if t1 is None else t1
+        clock[0] += t1 - t0
+        clock[1] += t2 - t1
+        if kind is not None:
+            rejections[kind] += 1
+        return value
 
-    sim = nelder_mead(objective, theta0, max_iter=cfg.max_iter)
+    # An overflowing quadratic form gives the kernel's limit, 0.
+    with np.errstate(over="ignore"):
+        sim = nelder_mead(objective, theta0, max_iter=cfg.max_iter)
     return SelectionResult(
         h=param.decode(sim.theta),
         objective=sim.f,
@@ -499,6 +564,11 @@ def select_bandwidth(x, config=None):
         grid=grid,
         binning_ms=binning_ms,
         n_rejected=sim.n_rejected,
+        precompute_ms=precompute_ms,
+        decode_ms=clock[0] / 1e6,
+        score_ms=clock[1] / 1e6,
+        kernel_points=scorer.kernel_points,
+        rejections=dict(rejections),
         theta=sim.theta,
     )
 

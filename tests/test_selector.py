@@ -16,6 +16,7 @@ from fastband import (
     SELECTOR_MODES,
     AllDuplicates,
     BandwidthMatrix,
+    FastbandError,
     NormalMixture,
     OutOfRange,
     PairDifferences,
@@ -600,16 +601,38 @@ def test_selection_with_a_far_outlier_does_not_raise(mode):
 
 @pytest.mark.parametrize("mode, r, diagonal", [
     ("direct-exact", 0, False), ("fft-L", 0, False), ("fft-L", 0, True), ("fft-L", 2, False),
+    ("fft-M", 0, False), ("direct-binned", 0, False), ("direct-exact", 2, False),
 ])
-def test_selected_h_is_the_one_the_objective_evaluated(mode, r, diagonal):
-    # A sample whose r = 2 selection does not collapse to a thin H.
+def test_selected_h_is_the_one_the_objective_evaluated(monkeypatch, mode, r, diagonal):
+    # A sample whose r = 2 selection does not collapse to a thin H;
+    # direct-binned convolves offset by offset, so on a coarse grid.
     x = np.random.default_rng(2).standard_normal((300, 2))
-    res = select_bandwidth(x, SelectorConfig(mode=mode, r=r, diagonal=diagonal))
+    grid = 30 if mode == "direct-binned" else 150
+    seen = []
+    minimize = fastband.selector.nelder_mead
+
+    def recording(func, theta0, **kwargs):
+        def f(theta):
+            value = func(theta)
+            seen.append((theta.copy(), value))
+            return value
+        return minimize(f, theta0, **kwargs)
+
+    monkeypatch.setattr(fastband.selector, "nelder_mead", recording)
+    res = select_bandwidth(x, SelectorConfig(mode=mode, r=r, diagonal=diagonal, grid_size=grid))
     param = SpdParam(2, diagonal=diagonal)
     assert np.array_equal(res.h, param.decode(res.theta))
     data = PairDifferences(dedup(x)) if mode == "direct-exact" else linear_binning(
         dedup(x), res.grid)
-    # The selector and the public constructor factor h the same way.
+    # The selector and the public constructor factor h the same way, and
+    # one scorer scores both, at every iterate.
+    assert len(seen) == res.n_evals
+    for theta, value in seen:
+        if value == math.inf:
+            with pytest.raises(FastbandError):
+                lscv_objective(data, param.decode(theta), r=r, mode=mode)
+        else:
+            assert lscv_objective(data, param.decode(theta), r=r, mode=mode) == value
     assert res.objective == lscv_objective(data, res.h, r=r, mode=mode)
 
 
@@ -642,6 +665,9 @@ def test_select_bandwidth_reports_its_binning_time(rng):
 def test_select_bandwidth_too_few_points(rng):
     with pytest.raises(TooFewPoints):
         select_bandwidth(rng.standard_normal((5, 2)))
+    # A covariance needs two rows.
+    with pytest.raises(TooFewPoints):
+        normal_scale_start(rng.standard_normal((1, 2)))
 
 
 @pytest.mark.parametrize("mode", ["fft-L", "direct-exact"])
@@ -650,9 +676,13 @@ def test_select_bandwidth_rejects_non_finite_sample(rng, mode, bad):
     x = rng.standard_normal((50, 2))
     with pytest.raises(ShapeMismatch):
         select_bandwidth(x.reshape(25, 2, 2), SelectorConfig(mode=mode, grid_size=30))
+    with pytest.raises(ShapeMismatch):
+        normal_scale_start(x.reshape(25, 2, 2))
     x[7, 1] = bad
     with pytest.raises(OutOfRange):
         select_bandwidth(x, SelectorConfig(mode=mode, grid_size=30))
+    with pytest.raises(OutOfRange):
+        normal_scale_start(x)
 
 
 @pytest.mark.parametrize("field, value", [
