@@ -221,17 +221,16 @@ def kron_power(v, r):
 # ---------------------------------------------------------------------------
 
 class _Factors:
-    """The factors of a symmetric matrix given as rows of Python floats.
+    """A bandwidth matrix given as rows of Python floats, with cached factors.
 
-    What one evaluation of a kernel reads, and nothing it does not:
-    ``rows`` itself, the dimension ``d``, the rows of the whitening
-    factor ``W = inv(L^T)`` and the determinant, all from one
-    :func:`_factor_rows`; ``whiten``, ``lambda_max`` and ``eig`` are
-    computed on first read and cached.  The rows must already be
-    symmetric and finite (:func:`_symmetric_rows`, or
-    :meth:`SpdParam._factors`, whose rows are symmetric by construction).
-    Every ``BandwidthMatrix`` is one of these, and the selector builds one
-    per evaluation straight from the simplex's coordinates, with no array
+    Everything a ``BandwidthMatrix`` holds, from one :func:`_factor_rows`
+    of ``rows``: the rows of the whitening factor ``W = inv(L^T)`` and the
+    determinant are computed here; ``h``, ``chol``, ``whiten``, ``inv``,
+    ``lambda_max`` and ``eig`` on first read.  The rows must already be
+    symmetric and finite.  ``BandwidthMatrix`` is the validating
+    constructor from an array; :meth:`SpdParam.bandwidth`, the
+    selector's per-step decode, builds one of these straight from the
+    rows of ``L L^T``, which are symmetric by construction, with no array
     made.
 
     Raises
@@ -246,8 +245,20 @@ class _Factors:
         self._chol_rows, self.whiten_rows, self.det = _factor_rows(rows)
 
     @cached_property
+    def h(self):
+        return np.array(self.rows)
+
+    @cached_property
+    def chol(self):
+        return np.array([row + [0.0] * (self.d - len(row)) for row in self._chol_rows])
+
+    @cached_property
     def whiten(self):
         return np.array(self.whiten_rows)
+
+    @cached_property
+    def inv(self):
+        return np.linalg.inv(self.h)
 
     @cached_property
     def lambda_max(self):
@@ -257,6 +268,9 @@ class _Factors:
     def eig(self):
         vecs, theta, _ = np.linalg.svd(self.whiten)
         return theta ** -2.0, vecs
+
+    def __repr__(self):
+        return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
 
 
 class BandwidthMatrix(_Factors):
@@ -274,14 +288,14 @@ class BandwidthMatrix(_Factors):
     ``lambda_max``, so an order-0 exact evaluation computes none.  The
     factors agree with LAPACK's ``cholesky(h)`` and ``inv(L^T)`` to
     rounding, and a rounding margin keeps every accepted ``h`` one that
-    LAPACK accepts too.  The constructor is the only way a
-    ``BandwidthMatrix`` is made, for every source of ``h``,
-    :meth:`SpdParam.bandwidth` included, and the selector's per-evaluation
-    factors (:meth:`SpdParam._factors`) run the same checks and the same
-    factorization on the same rows, so the same ``h`` always gives the
-    same bits.  No matrix is made for a multiple of ``h``: the kernels of
-    ``2H`` follow from this one's factors by Gaussian homogeneity (see
-    :func:`~fastband.functionals._cv_axes`).
+    LAPACK accepts too.  :meth:`SpdParam.bandwidth` runs the same
+    finiteness check and the same factorization on the rows of a decoded
+    ``h``, which are symmetric by construction, so it accepts the same
+    ``h`` with the same bits and the same exception types; every
+    function that takes a ``BandwidthMatrix`` takes its result too
+    (:func:`as_bandwidth`).  No matrix is made for a multiple of ``h``:
+    the kernels of ``2H`` follow from this one's factors by Gaussian
+    homogeneity (see :func:`~fastband.functionals._cv_axes`).
 
     Parameters
     ----------
@@ -324,21 +338,10 @@ class BandwidthMatrix(_Factors):
         self.h = _as_square(np.array(h, dtype=float))
         super().__init__(_symmetric_rows(self.h))
 
-    @cached_property
-    def chol(self):
-        return np.array([row + [0.0] * (self.d - len(row)) for row in self._chol_rows])
-
-    @cached_property
-    def inv(self):
-        return np.linalg.inv(self.h)
-
-    def __repr__(self):
-        return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
-
 
 def as_bandwidth(h):
-    """Return ``h`` if it is a BandwidthMatrix, else validate it into one."""
-    return h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
+    """Return ``h`` if it is a BandwidthMatrix or ``SpdParam.bandwidth``'s factors, else validate it into one."""
+    return h if isinstance(h, _Factors) else BandwidthMatrix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +402,18 @@ class SpdParam:
         return np.array(self._rows(theta))
 
     def bandwidth(self, theta):
-        """The ``BandwidthMatrix`` of ``decode(theta)``, bit for bit.
+        """The bandwidth ``decode(theta)``, factored from its rows with no array made.
 
-        Built from the Python-float rows of ``H``.  ``chol`` is the
-        Cholesky factor of that rounded ``h`` (not the ``L`` that
-        ``theta`` holds).
+        The selector's decode at every step.  ``_rows`` mirrors every
+        entry, so the rows are exactly symmetric and the constructor's
+        symmetry test could only fail on a NaN, which the finiteness test
+        refuses with the same type.  The rows then go through the
+        constructor's :func:`_factor_rows`, so this accepts and rejects
+        exactly the ``h`` that ``BandwidthMatrix(decode(theta))`` does,
+        with the same bits and the same exception types, and the result
+        has every attribute of that ``BandwidthMatrix`` (``h`` on first
+        read).  ``chol`` is the Cholesky factor of the rounded ``h``, not
+        the ``L`` that ``theta`` holds.
 
         Raises
         ------
@@ -412,18 +422,6 @@ class SpdParam:
             finite (an overflowing, NaN or infinite coordinate).
         SingularBandwidth
             If the determinant, less that margin, is not usable.
-        """
-        return BandwidthMatrix(self._rows(theta))
-
-    def _factors(self, theta):
-        """The factors of ``decode(theta)`` that :meth:`bandwidth` computes, with no array made.
-
-        ``_rows`` mirrors every entry, so the rows are exactly symmetric
-        and the constructor's symmetry test could only fail on a NaN,
-        which the finiteness test refuses with the same type.  The same
-        rows then go through the same :func:`_factor_rows`, so this
-        accepts and rejects exactly the ``h`` that :meth:`bandwidth`
-        does, with the same bits and the same exception types.
         """
         return _Factors(_finite_rows(self._rows(theta)))
 

@@ -148,7 +148,7 @@ class SelectionResult:
         that the objective evaluated at ``theta``.
     objective : float
         Objective value at ``h``, as the selector evaluated it, from the
-        factors of ``SpdParam._factors``.  It equals
+        factors of ``SpdParam.bandwidth``.  It equals
         ``lscv_objective(data, h)`` bit for bit: ``BandwidthMatrix(h)``
         is factored the same way, and both are scored by the same code.
     iterations : int
@@ -472,7 +472,7 @@ def select_bandwidth(x, config=None):
     count autocorrelation once, and ``"direct-exact"`` builds the
     sample's ``PairDifferences``.  Each evaluation then factors ``H``
     straight from the coordinates, in Python floats with no array made
-    (``SpdParam._factors``, which accepts exactly the matrices that
+    (``SpdParam.bandwidth``, which accepts exactly the matrices that
     ``BandwidthMatrix(h)`` accepts), and scores it: a tabulation of the
     kernel's slab ``j_1 >= 0`` and one sum over it (see
     :func:`~fastband.functionals.psi_binned`), or a sum over the
@@ -535,7 +535,7 @@ def select_bandwidth(x, config=None):
         t0 = time.perf_counter_ns()
         t1 = None
         try:
-            factors = param._factors(theta)
+            factors = param.bandwidth(theta)
             t1 = time.perf_counter_ns()
             value = scorer(factors)
         except _REJECTED as exc:
