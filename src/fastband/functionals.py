@@ -1,13 +1,14 @@
 """Cross-validation kernels and integrated density derivative functionals."""
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from string import ascii_letters
 
 import numpy as np
 
 from .binning import GridCounts
-from .errors import OutOfRange, ShapeMismatch
+from .errors import OutOfRange, ShapeMismatch, TooFewPoints
 # ``convolve``, ``normal_pdf`` and ``eta_r`` are unused here;
 # perfbench/tracing.py patches them by these names.
 from .fftconv import DEFAULT_TAU, _halfwidths, convolve, convolve_direct
@@ -127,22 +128,34 @@ def _cv_axes(terms, bw, r, out=None):
 # kernel grids
 # ---------------------------------------------------------------------------
 
-def _box_halfwidths(bw, grid, factor, mode, tau):
+def _binned_mode(mode):
+    """``(direct, truncated)`` for a binned mode.
+
+    ``direct`` is true for ``"direct-binned"``, which sums offset by
+    offset, and ``truncated`` for ``"fft-L"``, which clips the kernel's
+    box.  Every binned route decodes its mode here once, before any
+    evaluation.  Raises ``OutOfRange`` for any other mode.
+    """
+    if mode not in PSI_MODES:
+        raise OutOfRange(f"unknown binned mode {mode!r}; expected one of {PSI_MODES}")
+    return mode == "direct-binned", mode == "fft-L"
+
+
+def _box_halfwidths(bw, grid, factor, truncated, tau):
     """Half-widths ``L`` of the kernel box ``[-L, L]^d``, in grid steps, as a tuple.
 
-    ``L_k = M_k - 1`` for the full-support modes; ``"fft-L"`` sizes the
-    box from ``factor * bw.lambda_max``, the largest eigenvalue of
-    ``factor * H``, the widest Gaussian tabulated (see
-    :func:`effective_halfwidths`); no other mode reads ``lambda_max``.
-    Raises ``ShapeMismatch`` if ``H = bw`` and the grid differ in dimension.
+    ``L_k = M_k - 1`` for the full-support modes; the ``truncated`` one
+    (``"fft-L"``) sizes the box from ``factor * bw.lambda_max``, the
+    largest eigenvalue of ``factor * H``, the widest Gaussian tabulated
+    (see :func:`effective_halfwidths`); no other mode reads
+    ``lambda_max``.  Raises ``ShapeMismatch`` if ``H = bw`` and the grid
+    differ in dimension.
     """
     if bw.d != grid.d:
         raise ShapeMismatch(f"bandwidth is {bw.d}-D but the grid is {grid.d}-D")
-    if mode == "fft-L":
+    if truncated:
         return _halfwidths(factor * bw.lambda_max, grid.steps, grid.shape, tau)
-    if mode in PSI_MODES:
-        return tuple([m - 1 for m in grid.shape])
-    raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
+    return tuple([m - 1 for m in grid.shape])
 
 
 def _slab_axes(grid, halfwidths):
@@ -160,6 +173,41 @@ def _slab_axes(grid, halfwidths):
     return axes, (l1 + 1,) + tuple([2 * l + 1 for l in halfwidths[1:]])
 
 
+def _folded_box(gc, shape):
+    """The view of ``gc.folded_autocorrelation`` under a kernel slab of ``shape``.
+
+    The folded table's zero offset sits at index ``(0, M_2 - 1, ...)``,
+    and axis ``k > 1`` of the slab spans ``2 L_k + 1`` offsets around it.
+    """
+    box = [slice(0, shape[0])]
+    for m, s in zip(gc.grid.shape[1:], shape[1:]):
+        box.append(slice(m - 1 - s // 2, m + s // 2))
+    return gc.folded_autocorrelation[tuple(box)]
+
+
+def _slab(kernel, bw, r, grid, truncated, tau, boxes, counts=None):
+    """The slab ``j_1 >= 0`` of ``kernel``'s table at ``H = bw``, and the counts folded under it.
+
+    The one tabulation behind the public tables and every binned pair
+    sum.  The box is :func:`_box_halfwidths`'s, for the widest Gaussian
+    ``kernel.factor * H``.  Its offsets and shape (:func:`_slab_axes`)
+    and, given the binned sample ``counts``, the view of its folded
+    autocorrelation under the slab (:func:`_folded_box`; else None)
+    depend on the box alone, so they are kept in the dict ``boxes``
+    under its half-widths.  An ``"fft-L"`` selection meets tens of boxes
+    over hundreds of steps, and reusing them takes about a tenth off a
+    step (d = 2, grid 150, 2-CPU x86-64).
+    """
+    halfwidths = _box_halfwidths(bw, grid, kernel.factor, truncated, tau)
+    box = boxes.get(halfwidths)
+    if box is None:
+        axes, shape = _slab_axes(grid, halfwidths)
+        folded = None if counts is None else _folded_box(counts, shape)
+        box = boxes[halfwidths] = axes, shape, folded
+    axes, shape, folded = box
+    return kernel.table(axes, bw, r, out=np.empty(shape)), folded
+
+
 def _mirrored(half):
     """The full table ``[-L, L]^d`` of an even kernel from its slab ``j_1 >= 0``.
 
@@ -171,6 +219,15 @@ def _mirrored(half):
     table[l1:] = half
     table[:l1] = half[(slice(None, None, -1),) * half.ndim][:l1]
     return table
+
+
+def _table(kernel, grid, h, r, mode, tau):
+    """The full table of ``kernel`` on ``grid``'s offsets: :func:`_slab`, mirrored."""
+    bw = as_bandwidth(h)
+    truncated = _binned_mode(mode)[1]
+    # An overflowing quadratic form gives the kernel's limit, 0.
+    with np.errstate(over="ignore"):
+        return _mirrored(_slab(kernel, bw, r, grid, truncated, tau, {})[0])
 
 
 def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
@@ -190,8 +247,8 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     ``"fft-L"`` sum equals the ``"fft-M"`` sum minus exactly the terms
     at those offsets.
 
-    A wrapper over the tabulation that every evaluation of the
-    objective runs (see :class:`_LscvScorer`): the half space
+    The tabulation is the one every binned evaluation of the objective
+    runs (:func:`_slab`, see :class:`_PairScorer`): the half space
     ``j_1 >= 0`` is tabulated by broadcasting per-axis terms (see
     :func:`_cv_axes`, :func:`_slab_axes`), and this table is that slab
     mirrored through the origin (:func:`_mirrored`); the scorer's sums
@@ -201,124 +258,38 @@ def build_kernel_grid(grid, h, r=0, mode="fft-M", tau=DEFAULT_TAU):
     -------
     ndarray of shape ``(2 L_1 + 1, ..., 2 L_d + 1)``.
     """
-    bw = as_bandwidth(h)
-    axes, shape = _slab_axes(grid, _box_halfwidths(bw, grid, 2.0, mode, tau))
-    # An overflowing quadratic form gives the kernel's limit, 0.
-    with np.errstate(over="ignore"):
-        return _mirrored(_cv_axes(axes, bw, r, out=np.empty(shape)))
+    return _table(_CV, grid, h, r, mode, tau)
 
 
 def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
     """Tabulate ``eta_r(.; sigma)`` on grid offsets, same layout as above.
 
-    At ``r == 0``, the Gaussian density of ``u^T sigma^-1 u``.
+    At ``r == 0``, the Gaussian density of ``u^T sigma^-1 u``.  The
+    ``"fft-L"`` box is sized from ``sigma`` itself.
     """
-    return _mirrored(_eta_half(as_bandwidth(sigma), grid, r, mode, tau))
-
-
-def _eta_half(bw, grid, r, mode, tau):
-    """The slab ``j_1 >= 0`` of :func:`eta_kernel_grid`; ``_eta_axes`` ignores overflow itself."""
-    axes, shape = _slab_axes(grid, _box_halfwidths(bw, grid, 1.0, mode, tau))
-    return _eta_axes(axes, bw, r, out=np.empty(shape))
+    return _table(_ETA, grid, sigma, r, mode, tau)
 
 
 # ---------------------------------------------------------------------------
-# binned pairwise sums
+# exact pairwise differences
 # ---------------------------------------------------------------------------
 
-def _folded_box(gc, shape):
-    """The view of ``gc.folded_autocorrelation`` under a kernel slab of ``shape``.
+def _pair_sample(x):
+    """``x`` as the ``(n, d)`` float sample of an exact pair sum; a 1-d ``x`` is one point.
 
-    The folded table's zero offset sits at index ``(0, M_2 - 1, ...)``,
-    and axis ``k > 1`` of the slab spans ``2 L_k + 1`` offsets around it.
+    Raises ``ShapeMismatch`` above two dimensions, ``TooFewPoints``
+    without a point, and ``OutOfRange`` if a value is NaN or infinite.
+    One point is a valid sample: its pair sum is the kernel at 0.
     """
-    box = [slice(0, shape[0])]
-    for m, s in zip(gc.grid.shape[1:], shape[1:]):
-        box.append(slice(m - 1 - s // 2, m + s // 2))
-    return gc.folded_autocorrelation[tuple(box)]
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim > 2:
+        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise TooFewPoints("the sample has no points")
+    if not np.isfinite(x).all():
+        raise OutOfRange("sample contains NaN or infinite values")
+    return x
 
-
-def _binned_vstat(gc, half, mode, folded=None):
-    """Evaluate ``n^-2 sum_i c_i (c * k)_i`` for an even kernel from its slab ``j_1 >= 0``.
-
-    ``half`` is the slab of :func:`_slab_axes`.  ``"direct-binned"``
-    mirrors it into the full table and convolves offset by offset.  The
-    FFT modes use the identity ``sum_i c_i (c * k)_i = sum_j A(j)
-    k(delta j)`` with the count autocorrelation ``A``, restricted to the
-    kernel's box ``B``.  For an even ``k`` that sum is ``sum_{j in B,
-    j_1 >= 0} W(j) k(delta j)`` with the cached folded table ``W``
-    (``GridCounts.folded_autocorrelation``, under the slab
-    :func:`_folded_box`, or ``folded`` if given): the slab alone, read in
-    place by ``np.einsum``, which sums in numpy's own loop, so no BLAS
-    call is made and the result does not depend on the BLAS thread
-    count.  The terms dropped outside ``B`` are then at most
-    ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta j)|`` in
-    absolute value, since ``0 <= W <= 2 A(0)`` and ``A(0) = sum c^2``.
-    """
-    n = gc.n
-    if mode == "direct-binned":
-        pair_sum = np.sum(gc.counts * convolve_direct(gc.counts, _mirrored(half)))
-    else:
-        if folded is None:
-            folded = _folded_box(gc, half.shape)
-        axes = ascii_letters[:half.ndim]
-        pair_sum = np.einsum(f"{axes},{axes}->", folded, half)
-    return float(pair_sum / (n * n))
-
-
-def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
-    """Binned double sum of the order-``r`` CV kernel.
-
-    Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
-    binning: with counts ``c`` and the tabulated kernel ``k`` (see
-    :func:`build_kernel_grid`), returns ``n^-2 sum_i c_i (c * k)_i``.
-    A wrapper over the pair sum that every binned evaluation of the
-    objective runs (see :class:`_LscvScorer`): one tabulation of the
-    kernel's slab ``j_1 >= 0`` and one sum, made as in
-    :func:`_binned_vstat`: in the FFT modes over that slab against the
-    count autocorrelation folded onto it once per sample
-    (``gc.folded_autocorrelation``), without BLAS; in
-    ``"direct-binned"`` offset by offset over the mirrored table,
-    without any transform.  ``"fft-L"`` drops exactly the terms at
-    offsets outside its box, a part that :func:`_binned_vstat` bounds.
-
-    Parameters
-    ----------
-    gc : GridCounts
-        Binned sample.
-    h : (d, d) array_like or BandwidthMatrix
-        Bandwidth matrix.
-    r : int, optional
-        Functional order (default 0).
-    mode : str, optional
-        One of ``"direct-binned"``, ``"fft-M"``, ``"fft-L"``.
-    tau : float, optional
-        Truncation radius for ``"fft-L"``, in standard deviations of the
-        wider kernel ``2H``.
-
-    Returns
-    -------
-    float
-    """
-    if not isinstance(gc, GridCounts):
-        raise ShapeMismatch("psi_binned expects GridCounts from linear_binning")
-    bw = as_bandwidth(h)
-    if mode not in PSI_MODES:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {PSI_MODES}")
-    with np.errstate(over="ignore"):
-        return _LscvScorer(gc, r, mode, tau).pair_sum(bw)
-
-
-def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
-    """Binned V-statistic ``n^-2 sum_i c_i (c * k)_i`` with ``k = eta_r``."""
-    if not isinstance(gc, GridCounts):
-        raise ShapeMismatch("q_r_binned expects GridCounts from linear_binning")
-    return _binned_vstat(gc, _eta_half(as_bandwidth(sigma), gc.grid, r, mode, tau), mode)
-
-
-# ---------------------------------------------------------------------------
-# exact pairwise sums
-# ---------------------------------------------------------------------------
 
 class PairDifferences:
     """Differences ``X_i - X_j`` over the pairs ``i < j`` of one sample.
@@ -326,7 +297,8 @@ class PairDifferences:
     The exact route's analogue of ``GridCounts.folded_autocorrelation``:
     the differences do not depend on ``H``, so the table is built on first
     use and cached, and every later evaluation only reads it.  The
-    sample is copied and treated as fixed.
+    sample is checked as the exact pair sums check a raw one, copied and
+    treated as fixed.
 
     Attributes
     ----------
@@ -339,10 +311,16 @@ class PairDifferences:
         ``(0, 1), (0, 2), ..., (n - 2, n - 1)``, cut into contiguous
         blocks of at most ``_PAIR_BUDGET`` pairs, views of one buffer of
         ``8 d n (n - 1) / 2`` bytes (cached).
+
+    Raises
+    ------
+    ShapeMismatch, TooFewPoints, OutOfRange
+        If the sample has more than two dimensions, no point, or a NaN
+        or infinite value.
     """
 
     def __init__(self, x):
-        self.x = np.array(x, dtype=float, ndmin=2)
+        self.x = np.array(_pair_sample(x))
         self.n, self.d = self.x.shape
 
     @cached_property
@@ -387,33 +365,6 @@ def _pair_blocks(x, table=False):
         yield block
 
 
-def _pairwise_vstat(data, bw, of_block, at_zero):
-    """``n^-2 sum_i sum_j f(X_i - X_j)`` for an even ``f``, from the pairs ``i < j``.
-
-    Evaluates ``n^-2 [n f(0) + 2 sum_{i<j} f(X_i - X_j)]``, exact for
-    every kernel served here: a centred Gaussian and its even-order
-    derivatives are even.  ``of_block`` maps a ``(d, p)`` block of
-    differences to the sum of ``f`` over its ``p`` pairs, and
-    ``at_zero`` is ``f(0)``.  ``data`` is a :class:`PairDifferences`,
-    whose cached table is read, or a raw ``(n, d)`` sample, whose
-    blocks are streamed and not kept.
-
-    Raises
-    ------
-    ShapeMismatch
-        If the sample and ``H = bw`` differ in dimension.
-    """
-    if isinstance(data, PairDifferences):
-        n, d, blocks = data.n, data.d, data.blocks
-    else:
-        x = np.atleast_2d(np.asarray(data, dtype=float))
-        (n, d), blocks = x.shape, _pair_blocks(x)
-    if d != bw.d:
-        raise ShapeMismatch(f"sample is {d}-D but the bandwidth is {bw.d}-D")
-    total = sum(float(of_block(block)) for block in blocks)
-    return (n * float(at_zero) + 2.0 * total) / (n * n)
-
-
 def _t_sum(u, bw):
     """Sum of ``T_H`` over a ``(d, p)`` block of differences, see :func:`t_h`.
 
@@ -432,23 +383,232 @@ def _t_sum(u, bw):
     return _peak(bw) * (2.0 ** (-bw.d / 2) * sum_e - 2.0 * e.sum())
 
 
+# ---------------------------------------------------------------------------
+# the pair sums of one prepared sample
+# ---------------------------------------------------------------------------
+
+# An even kernel that _PairScorer sums over pairs, as functions of (bw, r):
+# factor * H is its widest Gaussian, which sizes the "fft-L" box;
+# table(terms, bw, r, out) evaluates it from per-axis terms (as _eta_axes
+# does), block_sum(u, bw, r) sums it over a (d, p) block of differences,
+# and at_zero(bw, r) is its value at 0, a Python float.
+_Kernel = namedtuple("_Kernel", "factor table block_sum at_zero")
+
+# The order-r CV kernel eta_r(.; 2H) - 2 eta_r(.; H) of the LSCV objective.
+# At 0 it is eta_r(0; H) (2^{-d/2-r} - 2) in Python floats, by the
+# homogeneity of _cv_axes; T_H(0) at r == 0.
+_CV = _Kernel(2.0, _cv_axes,
+              lambda u, bw, r: _t_sum(u, bw) if r == 0 else np.sum(_cv_axes(u, bw, r)),
+              lambda bw, r: _eta_zero(bw, r) * (2.0 ** (-bw.d / 2 - r) - 2.0))
+# eta_r(.; Sigma) of the functional Q_r.
+_ETA = _Kernel(1.0, _eta_axes, lambda u, bw, r: np.sum(_eta_axes(u, bw, r)), _eta_zero)
+
+
+class _PairScorer:
+    """Pair sums of an even kernel over one prepared sample, as a function of ``H`` alone.
+
+    The one route by which any kernel is summed over pairs: the
+    selector's objective and the public wrappers ``lscv_objective``,
+    :func:`psi_binned`, :func:`psi_direct`, :func:`q_r_binned` and
+    :func:`q_r_exact` each run through one of these.  ``kernel`` is
+    ``_CV``, the order-``r`` CV kernel (the default), or ``_ETA``, the
+    order-``r`` ``eta_r``.  A scorer is built once per sample: it
+    checks ``r``, decodes ``mode`` (:func:`_binned_mode`) and checks the
+    data against it, and holds what every evaluation reads.  For
+    ``"fft-M"`` and ``"fft-L"`` that is the binned sample with its grid
+    and the count autocorrelation folded onto ``j_1 >= 0``, computed
+    here; for ``"direct-binned"``, the counts, summed by
+    ``convolve_direct``, the FFT-free oracle; for ``"direct-exact"``,
+    the sample's ``PairDifferences``, whose table is built here, or a
+    raw sample, checked here (:func:`_pair_sample`) and streamed per
+    evaluation.  With ``binned``, ``"direct-exact"`` is refused as an
+    unknown mode, as the binned wrappers refuse it.
+
+    ``scorer.pair_sum(bw)``, for a ``BandwidthMatrix`` or the
+    per-evaluation factors of ``SpdParam.bandwidth``, is
+    ``n^-2 sum_i sum_j k(X_i - X_j)``, exact or binned by the mode, and
+    with the CV kernel ``scorer(bw)`` is the LSCV objective
+
+        (-1)^r [n^-2 sum_ij (eta_r(X_i - X_j; 2H) - 2 eta_r(X_i - X_j; H))
+                + 2 n^-1 eta_r(0; H)]
+
+    Neither checks anything further but the bandwidth's dimension, and
+    neither reads the mode string.  Binned evaluations tabulate only the
+    kernel's slab ``j_1 >= 0`` (:func:`_slab`), and ``kernel_points``
+    counts the entries tabulated; it stays 0 in ``"direct-exact"``.  An
+    overflowing quadratic form gives the kernel's limit, 0, so the
+    callers evaluate under ``np.errstate(over="ignore")``.
+
+    Raises
+    ------
+    OutOfRange
+        If ``mode`` is unknown, ``r`` is not a functional order, or a
+        raw sample has a NaN or infinite value.
+    ShapeMismatch
+        If ``data`` does not suit ``mode``, or a raw sample has more
+        than two dimensions.
+    TooFewPoints
+        If a raw sample has no point.
+    """
+
+    def __init__(self, data, r=0, mode="fft-L", tau=DEFAULT_TAU, kernel=_CV, binned=False):
+        if r != 0:
+            _functional_order(r)
+        self.r, self.tau, self.kernel = r, tau, kernel
+        self.kernel_points = 0
+        self.exact = mode == "direct-exact" and not binned
+        if self.exact:
+            if isinstance(data, GridCounts):
+                raise ShapeMismatch("direct-exact mode expects the raw sample or PairDifferences")
+            if isinstance(data, PairDifferences):
+                self.n, self.d = data.n, data.d
+                data.blocks  # the pair table, built once, here
+            else:
+                data = _pair_sample(data)
+                self.n, self.d = data.shape
+        else:
+            self.direct, self.truncated = _binned_mode(mode)
+            if not isinstance(data, GridCounts):
+                raise ShapeMismatch("binned modes expect GridCounts")
+            self.n = data.n
+            self._counts = None if self.direct else data
+            if not self.direct:
+                data.folded_autocorrelation  # folded once, here
+            axes = ascii_letters[:data.grid.d]
+            self._subscripts = f"{axes},{axes}->"
+            self._boxes = {}
+        self.data = data
+
+    def pair_sum(self, bw):
+        """``n^-2 sum_i sum_j k(X_i - X_j)``, exact or binned by the mode."""
+        return self._exact_sum(bw) if self.exact else self._binned_sum(bw)
+
+    def _binned_sum(self, bw):
+        """``n^-2 sum_i c_i (c * k)_i`` for the kernel ``k`` from its slab ``j_1 >= 0``.
+
+        ``"direct-binned"`` mirrors the slab into the full table and
+        convolves offset by offset.  The FFT modes use the identity
+        ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)`` with the count
+        autocorrelation ``A``, restricted to the kernel's box ``B``.  For
+        an even ``k`` that sum is ``sum_{j in B, j_1 >= 0} W(j) k(delta
+        j)`` with the cached folded table ``W``
+        (``GridCounts.folded_autocorrelation``, under the slab): the slab
+        alone, read in place by ``np.einsum``, which sums in numpy's own
+        loop, so no BLAS call is made and the result does not depend on
+        the BLAS thread count.  The terms dropped outside ``B`` are then
+        at most ``(2 sum c^2 / n^2) sum_{j not in B, j_1 >= 0} |k(delta
+        j)|`` in absolute value, since ``0 <= W <= 2 A(0)`` and
+        ``A(0) = sum c^2``.
+        """
+        gc = self.data
+        half, folded = _slab(self.kernel, bw, self.r, gc.grid, self.truncated, self.tau,
+                             self._boxes, self._counts)
+        self.kernel_points += half.size
+        if self.direct:
+            pair_sum = np.sum(gc.counts * convolve_direct(gc.counts, _mirrored(half)))
+        else:
+            pair_sum = np.einsum(self._subscripts, folded, half)
+        n = self.n
+        return float(pair_sum / (n * n))
+
+    def _exact_sum(self, bw):
+        """``n^-2 sum_i sum_j k(X_i - X_j)`` for the kernel ``k``, from the pairs ``i < j``.
+
+        Evaluates ``n^-2 [n k(0) + 2 sum_{i<j} k(X_i - X_j)]``, exact for
+        every kernel served here: a centred Gaussian and its even-order
+        derivatives are even.  Each ``(d, p)`` block of differences is
+        summed by ``kernel.block_sum``: its rows are the per-axis terms
+        of :func:`_cv_axes` or :func:`~fastband.gaussian._eta_axes`, and
+        the order-0 CV kernel sums as ``K_H(0) (2^{-d/2} sum e - 2 sum
+        e^2)``, ``e = exp(-q / 4)`` (see :func:`_t_sum`).  The cached
+        table of ``PairDifferences`` is read; a raw sample's blocks are
+        streamed and not kept.
+        """
+        if bw.d != self.d:
+            raise ShapeMismatch(f"sample is {self.d}-D but the bandwidth is {bw.d}-D")
+        data, kernel, r, n = self.data, self.kernel, self.r, self.n
+        blocks = data.blocks if isinstance(data, PairDifferences) else _pair_blocks(data)
+        total = sum(float(kernel.block_sum(u, bw, r)) for u in blocks)
+        return (n * float(kernel.at_zero(bw, r)) + 2.0 * total) / (n * n)
+
+    def __call__(self, bw):
+        pair_part = self.pair_sum(bw)
+        at_zero = _eta_zero(bw, self.r)
+        sign = -1.0 if self.r % 2 else 1.0
+        return sign * (pair_part + 2.0 * at_zero / self.n)
+
+
+# ---------------------------------------------------------------------------
+# public pair sums
+# ---------------------------------------------------------------------------
+
+def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
+    """Binned double sum of the order-``r`` CV kernel.
+
+    Approximates ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)`` by linear
+    binning: with counts ``c`` and the tabulated kernel ``k`` (see
+    :func:`build_kernel_grid`), returns ``n^-2 sum_i c_i (c * k)_i``.
+    A wrapper over the pair sum that every binned evaluation of the
+    objective runs (see :class:`_PairScorer`): one tabulation of the
+    kernel's slab ``j_1 >= 0`` and one sum: in the FFT modes over that
+    slab against the count autocorrelation folded onto it once per
+    sample (``gc.folded_autocorrelation``), without BLAS; in
+    ``"direct-binned"`` offset by offset over the mirrored table,
+    without any transform.  ``"fft-L"`` drops exactly the terms at
+    offsets outside its box, a part that :meth:`_PairScorer._binned_sum`
+    bounds.
+
+    Parameters
+    ----------
+    gc : GridCounts
+        Binned sample.
+    h : (d, d) array_like or BandwidthMatrix
+        Bandwidth matrix.
+    r : int, optional
+        Functional order (default 0).
+    mode : str, optional
+        One of ``"direct-binned"``, ``"fft-M"``, ``"fft-L"``.
+    tau : float, optional
+        Truncation radius for ``"fft-L"``, in standard deviations of the
+        wider kernel ``2H``.
+
+    Returns
+    -------
+    float
+    """
+    with np.errstate(over="ignore"):
+        return _PairScorer(gc, r, mode, tau, binned=True).pair_sum(as_bandwidth(h))
+
+
+def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
+    """Binned V-statistic ``n^-2 sum_i c_i (c * k)_i`` with ``k = eta_r(.; sigma)``.
+
+    The binned pair sum of :func:`psi_binned` with the kernel ``eta_r``,
+    whose ``"fft-L"`` box is sized from ``sigma`` itself (see
+    :class:`_PairScorer`).
+    """
+    with np.errstate(over="ignore"):
+        return _PairScorer(gc, r, mode, tau, _ETA, binned=True).pair_sum(as_bandwidth(sigma))
+
+
 def psi_direct(x, h, r=0):
     """Exact pairwise double sum of the order-``r`` CV kernel.
 
     Returns ``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, evaluated over
-    the ``n (n - 1) / 2`` pairs ``i < j`` (see :func:`_pairwise_vstat`),
-    with the rows of each ``(d, p)`` block of differences as the
-    per-axis terms of :func:`_cv_axes`.  At ``r == 0`` the block sum is
-    ``K_H(0) (2^{-d/2} sum e - 2 sum e^2)``, ``e = exp(-q / 4)`` (see
-    :func:`_t_sum`).  A wrapper over the pair sum that every
-    ``"direct-exact"`` evaluation of the objective runs (see
-    :class:`_LscvScorer`).
+    the ``n (n - 1) / 2`` pairs ``i < j`` (see
+    :meth:`_PairScorer._exact_sum`), with the rows of each ``(d, p)``
+    block of differences as the per-axis terms of :func:`_cv_axes`.  At
+    ``r == 0`` the block sum is ``K_H(0) (2^{-d/2} sum e - 2 sum e^2)``,
+    ``e = exp(-q / 4)`` (see :func:`_t_sum`).  A wrapper over the pair
+    sum that every ``"direct-exact"`` evaluation of the objective runs
+    (see :class:`_PairScorer`).
 
     Parameters
     ----------
     x : (n, d) array_like or PairDifferences
         Raw sample, whose differences are streamed block by block and
-        not kept, or the sample's cached difference table.
+        not kept, or the sample's cached difference table.  A raw sample
+        needs at least one point, all finite.
     h : (d, d) array_like or BandwidthMatrix
         Bandwidth matrix.
     r : int, optional
@@ -458,108 +618,11 @@ def psi_direct(x, h, r=0):
     -------
     float
     """
-    bw = as_bandwidth(h)
-    # An overflowing quadratic form gives the kernel's limit, 0.
     with np.errstate(over="ignore"):
-        return _LscvScorer(x, r, "direct-exact").pair_sum(bw)
+        return _PairScorer(x, r, "direct-exact").pair_sum(as_bandwidth(h))
 
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
-    bw = as_bandwidth(sigma)
-    return _pairwise_vstat(x, bw, lambda u: np.sum(_eta_axes(u, bw, r)), _eta_zero(bw, r))
-
-
-# ---------------------------------------------------------------------------
-# the objective of one prepared sample
-# ---------------------------------------------------------------------------
-
-class _LscvScorer:
-    """The LSCV objective of one prepared sample, as a function of ``H`` alone.
-
-    Every evaluation of the objective, the selector's and the public
-    wrappers' (``lscv_objective``, :func:`psi_binned`,
-    :func:`psi_direct`), runs through one of these.  It is built once per
-    sample: it checks the data against ``mode`` and ``r``, and holds what
-    every evaluation reads.  For ``"fft-M"`` and ``"fft-L"`` that is the
-    binned sample with its grid (offsets, steps and shape) and the count
-    autocorrelation folded onto ``j_1 >= 0``, computed here; for
-    ``"direct-binned"``, the counts, summed by ``convolve_direct``, the
-    FFT-free oracle; for ``"direct-exact"``, the sample's
-    ``PairDifferences``, whose table is built here, or a raw sample,
-    streamed per evaluation.  Then ``scorer(bw)``, for a ``BandwidthMatrix``
-    or the per-evaluation factors of ``SpdParam.bandwidth``, is
-
-        (-1)^r [n^-2 sum_ij (eta_r(X_i - X_j; 2H) - 2 eta_r(X_i - X_j; H))
-                + 2 n^-1 eta_r(0; H)]
-
-    with the pair sum from :meth:`pair_sum`, and nothing further is
-    checked but the bandwidth's dimension.  Binned evaluations tabulate
-    only the kernel's slab ``j_1 >= 0`` (:func:`_slab_axes`), and
-    ``kernel_points`` counts the entries tabulated; it stays 0 in
-    ``"direct-exact"``.  An overflowing quadratic form gives the
-    kernel's limit, 0, so calls run under ``np.errstate(over="ignore")``.
-
-    Raises
-    ------
-    OutOfRange
-        If ``mode`` is unknown or ``r`` is not a functional order.
-    ShapeMismatch
-        If ``data`` does not suit ``mode``.
-    """
-
-    def __init__(self, data, r=0, mode="fft-L", tau=DEFAULT_TAU):
-        if r != 0:
-            _functional_order(r)
-        if mode == "direct-exact":
-            if isinstance(data, GridCounts):
-                raise ShapeMismatch("direct-exact mode expects the raw sample or PairDifferences")
-            if isinstance(data, PairDifferences):
-                self.n = data.n
-                data.blocks  # the pair table, built once, here
-            else:
-                data = np.atleast_2d(np.asarray(data, dtype=float))
-                self.n = data.shape[0]
-        elif mode in PSI_MODES:
-            if not isinstance(data, GridCounts):
-                raise ShapeMismatch("binned modes expect GridCounts")
-            self.n = data.n
-            if mode != "direct-binned":
-                data.folded_autocorrelation  # folded once, here
-        else:
-            raise OutOfRange(f"unknown mode {mode!r}")
-        self.data, self.r, self.mode, self.tau = data, r, mode, tau
-        self.kernel_points = 0
-        # Per box half-widths: the slab's offsets and shape, and the view
-        # of the folded autocorrelation under it.  An fft-L selection
-        # meets tens of boxes over hundreds of steps, and reusing them
-        # takes about a tenth off a step (d = 2, grid 150, 2-CPU x86-64).
-        self._boxes = {}
-
-    def pair_sum(self, bw):
-        """``n^-2 sum_i sum_j cv_kernel(X_i - X_j; H)``, exact or binned by the mode."""
-        r = self.r
-        if self.mode == "direct-exact":
-            # eta_r(0; 2H) - 2 eta_r(0; H) = eta_r(0; H) (2^{-d/2-r} - 2) in
-            # Python floats, by the homogeneity of _cv_axes; at r == 0, T_H(0).
-            at_zero = _eta_zero(bw, r) * (2.0 ** (-bw.d / 2 - r) - 2.0)
-            if r == 0:
-                return _pairwise_vstat(self.data, bw, lambda u: _t_sum(u, bw), at_zero)
-            return _pairwise_vstat(self.data, bw, lambda u: np.sum(_cv_axes(u, bw, r)), at_zero)
-        gc = self.data
-        halfwidths = _box_halfwidths(bw, gc.grid, 2.0, self.mode, self.tau)
-        box = self._boxes.get(halfwidths)
-        if box is None:
-            axes, shape = _slab_axes(gc.grid, halfwidths)
-            folded = None if self.mode == "direct-binned" else _folded_box(gc, shape)
-            box = self._boxes[halfwidths] = axes, shape, folded
-        axes, shape, folded = box
-        half = _cv_axes(axes, bw, r, out=np.empty(shape))
-        self.kernel_points += half.size
-        return _binned_vstat(gc, half, self.mode, folded)
-
-    def __call__(self, bw):
-        pair_part = self.pair_sum(bw)
-        at_zero = _eta_zero(bw, self.r)
-        sign = -1.0 if self.r % 2 else 1.0
-        return sign * (pair_part + 2.0 * at_zero / self.n)
+    with np.errstate(over="ignore"):
+        return _PairScorer(x, r, "direct-exact", kernel=_ETA).pair_sum(as_bandwidth(sigma))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, ParseError, ShapeMismatch, UnknownModel
-from .functionals import q_r_exact
+from .functionals import _pair_sample, q_r_exact
 from .gaussian import normal_pdf
 from .linalg import as_bandwidth, cholesky
 
@@ -166,9 +166,16 @@ def exact_ise(x, h, mix):
     -------
     float
         Nonnegative up to a tiny numerical floor.
+
+    Raises
+    ------
+    ShapeMismatch, TooFewPoints, OutOfRange
+        If the sample has more than two dimensions, no point, or a NaN
+        or infinite value, as the exact pair sums check it; or, for
+        ``ShapeMismatch``, if the dimensions disagree.
     """
     bw = as_bandwidth(h)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _pair_sample(x)
     n, d = x.shape
     if d != mix.d or bw.d != d:
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")

@@ -23,8 +23,9 @@ from .fftconv import DEFAULT_TAU, convolve, convolve_direct
 # ``psi_binned`` and ``psi_direct`` are unused here; perfbench/tracing.py
 # patches them by these names.
 from .functionals import (
+    PSI_MODES,
     PairDifferences,
-    _LscvScorer,
+    _PairScorer,
     eta_kernel_grid,
     psi_binned,
     psi_direct,
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 # Evaluation strategies for the selection objective.
-SELECTOR_MODES = ("direct-exact", "direct-binned", "fft-M", "fft-L")
+SELECTOR_MODES = ("direct-exact",) + PSI_MODES
 
 # Fewest distinct sample points select_bandwidth accepts.
 _MIN_POINTS = 10
@@ -316,15 +317,16 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     exact in ``"direct-exact"`` mode and linearly binned otherwise.
     A wrapper over the scorer that :func:`select_bandwidth` prepares
     once per sample and calls at every step (see
-    :class:`~fastband.functionals._LscvScorer`), so it returns the
+    :class:`~fastband.functionals._PairScorer`), so it returns the
     selector's value bit for bit.
 
     Parameters
     ----------
     data : (n, d) array_like, PairDifferences or GridCounts
         For ``"direct-exact"``, the raw sample (its pair differences
-        are streamed and not kept) or its cached ``PairDifferences``;
-        for the binned modes, the binned sample.
+        are streamed and not kept; it needs at least one point, all
+        finite) or its cached ``PairDifferences``; for the binned modes,
+        the binned sample.
     h : (d, d) array_like or BandwidthMatrix
         Bandwidth matrix.
     r : int, optional
@@ -339,11 +341,8 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     -------
     float
     """
-    if mode not in SELECTOR_MODES:
-        raise OutOfRange(f"unknown mode {mode!r}; expected one of {SELECTOR_MODES}")
-    bw = as_bandwidth(h)
     with np.errstate(over="ignore"):
-        return _LscvScorer(data, r, mode, tau)(bw)
+        return _PairScorer(data, r, mode, tau)(as_bandwidth(h))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +467,7 @@ def select_bandwidth(x, config=None):
     simplex started at the normal-scale bandwidth, to the default
     tolerance of :func:`nelder_mead`.  The binned modes bin the sample,
     and one scorer is prepared per sample
-    (:class:`~fastband.functionals._LscvScorer`): the FFT modes fold the
+    (:class:`~fastband.functionals._PairScorer`): the FFT modes fold the
     count autocorrelation once, and ``"direct-exact"`` builds the
     sample's ``PairDifferences``.  Each evaluation then factors ``H``
     straight from the coordinates, in Python floats with no array made
@@ -523,7 +522,7 @@ def select_bandwidth(x, config=None):
         data = linear_binning(x, grid)
         binning_ms = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
-    scorer = _LscvScorer(data, cfg.r, cfg.mode, cfg.tau)
+    scorer = _PairScorer(data, cfg.r, cfg.mode, cfg.tau)
     precompute_ms = (time.perf_counter() - t0) * 1000.0
 
     param = SpdParam(d, diagonal=cfg.diagonal)

@@ -353,14 +353,21 @@ def test_criterion_07_failure_trend_replication():
 # 8. Complexity contract
 # ---------------------------------------------------------------------------
 
-def _median_time(func, reps=7):
-    func()
-    times = []
+def _median_ratio(small, large, reps=7):
+    """Median time of ``large`` over median time of ``small``, timed in alternation.
+
+    After one untimed call each, the two run in turn (small, large,
+    small, ...), so a change in machine load falls on both sides alike.
+    """
+    small()
+    large()
+    times = ([], [])
     for _ in range(reps):
-        t0 = time.perf_counter()
-        func()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for side, func in zip(times, (small, large)):
+            t0 = time.perf_counter()
+            func()
+            side.append(time.perf_counter() - t0)
+    return float(np.median(times[1]) / np.median(times[0]))
 
 
 def test_criterion_08_complexity_contract():
@@ -371,24 +378,20 @@ def test_criterion_08_complexity_contract():
     x400 = x4000[:400]
     h = fb.normal_scale_start(x2000)
 
-    t_direct_1 = _median_time(lambda: fb.lscv_objective(x2000, h, mode="direct-exact"))
-    t_direct_2 = _median_time(lambda: fb.lscv_objective(x4000, h, mode="direct-exact"))
-    direct_ratio = t_direct_2 / t_direct_1
+    direct_ratio = _median_ratio(lambda: fb.lscv_objective(x2000, h, mode="direct-exact"),
+                                 lambda: fb.lscv_objective(x4000, h, mode="direct-exact"))
 
     def fft_pipeline(x):
         gc = fb.linear_binning(x, fb.make_grid(x, (180, 180)))
         fb.lscv_objective(gc, h, mode="fft-L")
 
-    t_fft_small = _median_time(lambda: fft_pipeline(x400))
-    t_fft_large = _median_time(lambda: fft_pipeline(x4000))
-    fft_ratio = t_fft_large / t_fft_small
+    fft_ratio = _median_ratio(lambda: fft_pipeline(x400), lambda: fft_pipeline(x4000))
 
     xbin = rng.standard_normal((100_000, 2))
     xbin2 = rng.standard_normal((200_000, 2))
     grid_b = fb.make_grid(xbin2, (180, 180))
-    t_bin_1 = _median_time(lambda: fb.linear_binning(xbin, grid_b))
-    t_bin_2 = _median_time(lambda: fb.linear_binning(xbin2, grid_b))
-    bin_ratio = t_bin_2 / t_bin_1
+    bin_ratio = _median_ratio(lambda: fb.linear_binning(xbin, grid_b),
+                              lambda: fb.linear_binning(xbin2, grid_b))
 
     ok = 3.0 <= direct_ratio <= 6.0 and fft_ratio < 2.0 and bin_ratio < 2.5
     _report(

@@ -14,6 +14,7 @@ from fastband import (
     OutOfRange,
     PairDifferences,
     ShapeMismatch,
+    TooFewPoints,
     as_bandwidth,
     build_kernel_grid,
     convolve,
@@ -492,6 +493,37 @@ def test_psi_direct_rejects_a_bandwidth_of_another_dimension(rng, n):
                 q_r_exact(data, h, 0)
 
 
+_EXACT_ROUTES = {
+    "psi_direct": lambda x: psi_direct(x, 0.3 * np.eye(2)),
+    "q_r_exact": lambda x: q_r_exact(x, 0.3 * np.eye(2), 1),
+    "lscv_objective": lambda x: lscv_objective(x, 0.3 * np.eye(2), mode="direct-exact"),
+    "PairDifferences": PairDifferences,
+    "exact_ise": lambda x: exact_ise(x, 0.3 * np.eye(2), mixture_catalog("bimodal")),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_EXACT_ROUTES))
+@pytest.mark.parametrize("x, error", [
+    (np.zeros((2, 3, 2)), ShapeMismatch),
+    (np.zeros((0, 2)), TooFewPoints),
+    (np.array([[0.0, 1.0], [np.nan, 0.5]]), OutOfRange),
+    (np.array([[0.0, 1.0], [np.inf, 0.5]]), OutOfRange),
+    (np.array([[0.0, 1.0], [2.0, -np.inf]]), OutOfRange),
+], ids=["3-D", "no-rows", "nan", "inf", "-inf"])
+def test_exact_routes_refuse_a_bad_sample_with_a_typed_error(route, x, error):
+    # The exact routes check a raw sample where they first read it, not
+    # with a raw ValueError, a ZeroDivisionError or a silent NaN.
+    with pytest.raises(error):
+        _EXACT_ROUTES[route](x)
+
+
+@pytest.mark.parametrize("route", sorted(_EXACT_ROUTES))
+def test_exact_routes_accept_one_point(route):
+    # One point is still a sample: its pair sum is the kernel at 0.
+    out = _EXACT_ROUTES[route](np.ones((1, 2)))
+    assert out.blocks == () if route == "PairDifferences" else math.isfinite(out)
+
+
 def test_psi_binned_modes_agree(rng):
     x = rng.standard_normal((150, 2))
     gc = linear_binning(x, make_grid(x, (32, 32)))
@@ -547,8 +579,20 @@ def test_psi_binned_forms_agree(rng):
 def test_psi_modes_validated(rng):
     x = rng.standard_normal((30, 2))
     gc = linear_binning(x, make_grid(x, (8, 8)))
-    with pytest.raises(OutOfRange):
-        psi_binned(gc, np.eye(2), mode="fft-X")
+    # The mode is decoded once, where the pair sum or table is prepared,
+    # and an unknown one, or "direct-exact" at a binned-only entry point,
+    # is out of range at every entry point.
+    for mode in ("fft-X", "direct-exact"):
+        for call in (lambda: psi_binned(gc, np.eye(2), mode=mode),
+                     lambda: q_r_binned(gc, np.eye(2), 0, mode=mode)):
+            with pytest.raises(OutOfRange):
+                call()
+    for call in (lambda: lscv_objective(gc, np.eye(2), mode="fft-X"),
+                 lambda: build_kernel_grid(gc.grid, np.eye(2), mode="fft-X"),
+                 lambda: eta_kernel_grid(gc.grid, np.eye(2), 0, mode="fft-X"),
+                 lambda: kde_on_grid(gc, np.eye(2), mode="fft-X")):
+        with pytest.raises(OutOfRange):
+            call()
     # fft-L sizes its box from tau: a non-finite tau is out of range at
     # every binned entry point, not a raw error from math.ceil.
     h = 0.1 * np.eye(2)
