@@ -7,10 +7,36 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateAxis, OutOfRange, ShapeMismatch
+from .errors import DegenerateAxis, OutOfRange, ShapeMismatch, TooFewPoints
 from .fftconv import autocorrelate
 
 __all__ = ["GridSpec", "GridCounts", "make_grid", "linear_binning", "grid_points"]
+
+
+def _as_sample(x):
+    """``x`` as an ``(n, d)`` float sample; a 1-d ``x`` is ``n`` points in one dimension.
+
+    The one reading of a sample, at every entry point that takes one.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``x`` is not 2-D after that reading, or has no column.
+    TooFewPoints
+        If it has no row.
+    OutOfRange
+        If a value is NaN or infinite.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ShapeMismatch(f"expected an (n, d) sample with d >= 1, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise TooFewPoints("the sample has no points")
+    if not np.isfinite(x).all():
+        raise OutOfRange("sample contains NaN or infinite values")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +157,8 @@ def make_grid(x, shape, margin_fraction=0.05):
 
     Parameters
     ----------
-    x : (n, d) array_like
-        Sample points.
+    x : (n, d) or (n,) array_like
+        Sample points, read by :func:`_as_sample`.
     shape : sequence of int
         Nodes per axis.
     margin_fraction : float, optional
@@ -149,8 +175,10 @@ def make_grid(x, shape, margin_fraction=0.05):
         If all sample values coincide along some axis.
     OutOfRange
         If ``margin_fraction`` is negative or not finite.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad sample, see :func:`_as_sample`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _as_sample(x)
     if not (math.isfinite(margin_fraction) and margin_fraction >= 0):
         raise OutOfRange(f"margin_fraction must be finite and >= 0, got {margin_fraction!r}")
     mins = x.min(axis=0)
@@ -178,8 +206,8 @@ def linear_binning(x, grid):
 
     Parameters
     ----------
-    x : (n, d) array_like
-        Sample points, all inside the grid box.
+    x : (n, d) or (n,) array_like
+        Sample points, read by :func:`_as_sample`, all inside the grid box.
     grid : GridSpec
 
     Returns
@@ -189,13 +217,15 @@ def linear_binning(x, grid):
     Raises
     ------
     OutOfRange
-        If any point is NaN or infinite, or lies outside ``[lo, hi]``.
+        If any point lies outside ``[lo, hi]``.
+    ShapeMismatch
+        If the sample and the grid differ in dimension.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad sample, see :func:`_as_sample`.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _as_sample(x)
     if x.shape[1] != grid.d:
         raise ShapeMismatch(f"points have dimension {x.shape[1]}, grid has {grid.d}")
-    if not np.all(np.isfinite(x)):
-        raise OutOfRange("sample contains NaN or infinite values")
     delta = grid.delta
     t = (x - grid.lo) / delta
     eps = 1e-9

@@ -7,7 +7,7 @@ from string import ascii_letters
 
 import numpy as np
 
-from .binning import GridCounts
+from .binning import GridCounts, _as_sample
 from .errors import OutOfRange, ShapeMismatch, TooFewPoints
 # ``convolve``, ``normal_pdf`` and ``eta_r`` are unused here;
 # perfbench/tracing.py patches them by these names.
@@ -99,6 +99,7 @@ def cv_kernel(u, h, r=0):
 
     :func:`t_h` at ``r == 0``.  An ``(n,)`` array, or a float for a single point.
     """
+    r = _functional_order(r)
     bw = as_bandwidth(h)
     u, single = _as_points(u, bw.d)
     # An overflowing quadratic form gives the kernel's limit, 0.
@@ -223,6 +224,7 @@ def _mirrored(half):
 
 def _table(kernel, grid, h, r, mode, tau):
     """The full table of ``kernel`` on ``grid``'s offsets: :func:`_slab`, mirrored."""
+    r = _functional_order(r)
     bw = as_bandwidth(h)
     truncated = _binned_mode(mode)[1]
     # An overflowing quadratic form gives the kernel's limit, 0.
@@ -274,31 +276,14 @@ def eta_kernel_grid(grid, sigma, r, mode="fft-M", tau=DEFAULT_TAU):
 # exact pairwise differences
 # ---------------------------------------------------------------------------
 
-def _pair_sample(x):
-    """``x`` as the ``(n, d)`` float sample of an exact pair sum; a 1-d ``x`` is one point.
-
-    Raises ``ShapeMismatch`` above two dimensions, ``TooFewPoints``
-    without a point, and ``OutOfRange`` if a value is NaN or infinite.
-    One point is a valid sample: its pair sum is the kernel at 0.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim > 2:
-        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise TooFewPoints("the sample has no points")
-    if not np.isfinite(x).all():
-        raise OutOfRange("sample contains NaN or infinite values")
-    return x
-
-
 class PairDifferences:
     """Differences ``X_i - X_j`` over the pairs ``i < j`` of one sample.
 
     The exact route's analogue of ``GridCounts.folded_autocorrelation``:
     the differences do not depend on ``H``, so the table is built on first
     use and cached, and every later evaluation only reads it.  The
-    sample is checked as the exact pair sums check a raw one, copied and
-    treated as fixed.
+    sample is read by :func:`~fastband.binning._as_sample`, copied and
+    treated as fixed; one point is a sample, whose table is empty.
 
     Attributes
     ----------
@@ -315,12 +300,11 @@ class PairDifferences:
     Raises
     ------
     ShapeMismatch, TooFewPoints, OutOfRange
-        If the sample has more than two dimensions, no point, or a NaN
-        or infinite value.
+        For a bad sample, see :func:`~fastband.binning._as_sample`.
     """
 
     def __init__(self, x):
-        self.x = np.array(_pair_sample(x))
+        self.x = np.array(_as_sample(x))
         self.n, self.d = self.x.shape
 
     @cached_property
@@ -420,9 +404,9 @@ class _PairScorer:
     here; for ``"direct-binned"``, the counts, summed by
     ``convolve_direct``, the FFT-free oracle; for ``"direct-exact"``,
     the sample's ``PairDifferences``, whose table is built here, or a
-    raw sample, checked here (:func:`_pair_sample`) and streamed per
-    evaluation.  With ``binned``, ``"direct-exact"`` is refused as an
-    unknown mode, as the binned wrappers refuse it.
+    raw sample, read here (:func:`~fastband.binning._as_sample`) and
+    streamed per evaluation.  With ``binned``, ``"direct-exact"`` is
+    refused as an unknown mode, as the binned wrappers refuse it.
 
     ``scorer.pair_sum(bw)``, for a ``BandwidthMatrix`` or the
     per-evaluation factors of ``SpdParam.bandwidth``, is
@@ -442,19 +426,17 @@ class _PairScorer:
     Raises
     ------
     OutOfRange
-        If ``mode`` is unknown, ``r`` is not a functional order, or a
-        raw sample has a NaN or infinite value.
+        If ``mode`` is unknown or ``r`` is not a functional order.
     ShapeMismatch
-        If ``data`` does not suit ``mode``, or a raw sample has more
-        than two dimensions.
+        If ``data`` does not suit ``mode``.
     TooFewPoints
-        If a raw sample has no point.
+        If binned counts sum to 0.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad raw sample, see :func:`~fastband.binning._as_sample`.
     """
 
     def __init__(self, data, r=0, mode="fft-L", tau=DEFAULT_TAU, kernel=_CV, binned=False):
-        if r != 0:
-            _functional_order(r)
-        self.r, self.tau, self.kernel = r, tau, kernel
+        self.r, self.tau, self.kernel = _functional_order(r), tau, kernel
         self.kernel_points = 0
         self.exact = mode == "direct-exact" and not binned
         if self.exact:
@@ -464,13 +446,15 @@ class _PairScorer:
                 self.n, self.d = data.n, data.d
                 data.blocks  # the pair table, built once, here
             else:
-                data = _pair_sample(data)
+                data = _as_sample(data)
                 self.n, self.d = data.shape
         else:
             self.direct, self.truncated = _binned_mode(mode)
             if not isinstance(data, GridCounts):
                 raise ShapeMismatch("binned modes expect GridCounts")
             self.n = data.n
+            if not self.n > 0:
+                raise TooFewPoints("the binned sample has no weight")
             self._counts = None if self.direct else data
             if not self.direct:
                 data.folded_autocorrelation  # folded once, here
@@ -605,10 +589,10 @@ def psi_direct(x, h, r=0):
 
     Parameters
     ----------
-    x : (n, d) array_like or PairDifferences
-        Raw sample, whose differences are streamed block by block and
-        not kept, or the sample's cached difference table.  A raw sample
-        needs at least one point, all finite.
+    x : (n, d) or (n,) array_like, or PairDifferences
+        Raw sample (read by :func:`~fastband.binning._as_sample`), whose
+        differences are streamed block by block and not kept, or the
+        sample's cached difference table.
     h : (d, d) array_like or BandwidthMatrix
         Bandwidth matrix.
     r : int, optional

@@ -25,14 +25,31 @@ MAX_FUNCTIONAL_ORDER = 8
 _CHUNK_BUDGET = 1 << 22
 
 
-def _as_points(x, d=None):
-    """Return ``x`` as an (n, d) float array, remembering if it was 1-d."""
+def _as_points(x, d):
+    """``(points, single)``: ``x`` as ``(n, d)`` float points, and whether it was one point.
+
+    The one reading of evaluation points: a 1-d ``x`` is one point,
+    whose caller returns a float.  Raises ``ShapeMismatch`` for any
+    other shape than ``(n, d)``.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    x = np.atleast_2d(x)
-    if d is not None and x.shape[1] != d:
-        raise ShapeMismatch(f"points have dimension {x.shape[1]}, expected {d}")
+    if single:
+        x = x[None]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeMismatch(f"expected ({d},) or (n, {d}) points, got shape {x.shape}")
     return x, single
+
+
+def _functional_order(r, top=MAX_FUNCTIONAL_ORDER):
+    """``r`` as an int, if it is an integer (not a bool) in ``[0, top]``.
+
+    The one rule for an order, checked once at each entry point that
+    takes one; the code behind it reads the returned int.
+    """
+    if isinstance(r, bool) or not isinstance(r, Integral) or not 0 <= r <= top:
+        raise OutOfRange(f"order {r!r} is not an integer in [0, {top}]")
+    return int(r)
 
 
 def _whitened_sq_axes(terms, bw, out=None):
@@ -132,16 +149,16 @@ def gaussian_derivative_vector(x, sigma, order):
     -------
     ndarray of shape (n,) + (d,) * order
     """
-    order = int(order)
-    if not 0 <= order <= 2 * MAX_FUNCTIONAL_ORDER:
-        raise OutOfRange(f"derivative order {order} outside [0, {2 * MAX_FUNCTIONAL_ORDER}]")
+    order = _functional_order(order, 2 * MAX_FUNCTIONAL_ORDER)
     bw = as_bandwidth(sigma)
     x, _ = _as_points(x, bw.d)
     n, d = x.shape
 
     u = x @ bw.inv
     g_prev2 = None
-    g_prev = _eta_axes(x.T, bw, 0)
+    # An overflowing quadratic form gives the density's limit, 0.
+    with np.errstate(over="ignore"):
+        g_prev = _eta_axes(x.T, bw, 0)
     if order == 0:
         return g_prev
 
@@ -187,8 +204,8 @@ def eta_rs(x, sigma, r, s, a, b=None):
     -------
     (n,) ndarray, or float for a single point.
     """
-    r, s = int(r), int(s)
-    if r < 0 or s < 0 or r + s > MAX_FUNCTIONAL_ORDER:
+    r, s = _functional_order(r), _functional_order(s)
+    if r + s > MAX_FUNCTIONAL_ORDER:
         raise OutOfRange(f"functional order r + s = {r + s} outside [0, {MAX_FUNCTIONAL_ORDER}]")
     if s > 0 and b is None:
         raise ShapeMismatch("b is required when s > 0")
@@ -208,13 +225,6 @@ def eta_rs(x, sigma, r, s, a, b=None):
         g = gaussian_derivative_vector(x[start:stop], bw, order)
         out[start:stop] = g.reshape(stop - start, -1) @ w
     return float(out[0]) if single else out
-
-
-def _functional_order(r):
-    """``r`` as an int, if it is an integer (not a bool) in ``[0, MAX_FUNCTIONAL_ORDER]``."""
-    if isinstance(r, bool) or not isinstance(r, Integral) or not 0 <= r <= MAX_FUNCTIONAL_ORDER:
-        raise OutOfRange(f"functional order {r!r} is not an integer in [0, {MAX_FUNCTIONAL_ORDER}]")
-    return int(r)
 
 
 def _hermite_sum(zs, lam, r):
@@ -248,18 +258,17 @@ def _eta_axes(terms, bw, r, out=None):
     (the identity-weight case of Chacon & Duong 2015).  At ``r == 0``
     this is the density of :func:`_whitened_sq_axes`, with no
     eigendecomposition.  ``out``, shaped as the result, receives it.
-    ``r`` must be an integer in ``[0, MAX_FUNCTIONAL_ORDER]``.
+    ``r`` is an int checked by :func:`_functional_order`.  An
+    overflowing quadratic form gives the density's limit, 0, so the
+    callers evaluate under ``np.errstate(over="ignore")``.
     """
-    r = _functional_order(r)
-    # An overflowing quadratic form gives the density's limit, 0.
-    with np.errstate(over="ignore"):
-        if r == 0:
-            return _density_of_q(_whitened_sq_axes(terms, bw, out=out), bw)
-        lam, vecs = bw.eig
-        w = vecs / np.sqrt(lam)
-        zs = [sum(terms[k] * w[k, m] for k in range(bw.d)) for m in range(bw.d)]
-        q = sum(z * z for z in zs)
-        return np.multiply(_density_of_q(q, bw), _hermite_sum(zs, lam, r), out=out)
+    if r == 0:
+        return _density_of_q(_whitened_sq_axes(terms, bw, out=out), bw)
+    lam, vecs = bw.eig
+    w = vecs / np.sqrt(lam)
+    zs = [sum(terms[k] * w[k, m] for k in range(bw.d)) for m in range(bw.d)]
+    q = sum(z * z for z in zs)
+    return np.multiply(_density_of_q(q, bw), _hermite_sum(zs, lam, r), out=out)
 
 
 def _eta_zero(bw, r):
@@ -269,7 +278,7 @@ def _eta_zero(bw, r):
     """
     if r == 0:
         return _peak(bw)
-    return _peak(bw) * _hermite_sum([0.0] * bw.d, bw.eig[0].tolist(), _functional_order(r))
+    return _peak(bw) * _hermite_sum([0.0] * bw.d, bw.eig[0].tolist(), r)
 
 
 def eta_r(x, sigma, r):
@@ -278,7 +287,10 @@ def eta_r(x, sigma, r):
     From Hermite products, see :func:`_eta_axes`.  An ``(n,)`` array, or
     a float for a single point.
     """
+    r = _functional_order(r)
     bw = as_bandwidth(sigma)
     x, single = _as_points(x, bw.d)
-    val = _eta_axes(x.T, bw, r)
+    # An overflowing quadratic form gives the density's limit, 0.
+    with np.errstate(over="ignore"):
+        val = _eta_axes(x.T, bw, r)
     return float(val[0]) if single else val

@@ -211,7 +211,7 @@ def kron_power(v, r):
     """r-fold Kronecker power of a vector; ``r == 0`` gives ``[1.0]``."""
     v = np.asarray(v, dtype=float).ravel()
     out = np.array([1.0])
-    for _ in range(int(r)):
+    for _ in range(r):
         out = np.kron(out, v)
     return out
 

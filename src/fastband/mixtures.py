@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange, ParseError, ShapeMismatch, UnknownModel
-from .functionals import _pair_sample, q_r_exact
-from .gaussian import normal_pdf
+from .binning import _as_sample
+from .functionals import q_r_exact
+from .gaussian import _as_points, normal_pdf
 from .linalg import as_bandwidth, cholesky
 
 __all__ = [
@@ -34,7 +35,7 @@ class NormalMixture:
     weights : (q,) ndarray
         Positive component weights summing to one.
     means : (q, d) ndarray
-        Component means.
+        Component means, finite.
     covs : (q, d, d) ndarray
         Component covariances, each symmetric positive definite.
     """
@@ -53,8 +54,10 @@ class NormalMixture:
             raise ShapeMismatch("weights, means and covs disagree on component count")
         if cv.shape[1:] != (mu.shape[1], mu.shape[1]):
             raise ShapeMismatch("covariance blocks disagree with mean dimension")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise OutOfRange("weights must be positive")
+        if not np.isfinite(mu).all():
+            raise OutOfRange("means must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise OutOfRange(f"weights sum to {w.sum()}, expected 1")
         for sig in cv:
@@ -90,11 +93,7 @@ def mixture_pdf(mix, x):
     -------
     (n,) ndarray, or float for a single point.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != mix.d:
-        raise ShapeMismatch(f"points have dimension {pts.shape[1]}, mixture has {mix.d}")
+    pts, single = _as_points(x, mix.d)
     out = np.zeros(pts.shape[0])
     for w, mu, sig in zip(mix.weights, mix.means, mix.covs):
         out += w * normal_pdf(pts - mu, sig)
@@ -155,8 +154,8 @@ def exact_ise(x, h, mix):
 
     Parameters
     ----------
-    x : (n, d) array_like
-        The KDE's sample.
+    x : (n, d) or (n,) array_like
+        The KDE's sample, read by :func:`~fastband.binning._as_sample`.
     h : (d, d) array_like or BandwidthMatrix
         The KDE's bandwidth matrix.
     mix : NormalMixture
@@ -170,12 +169,12 @@ def exact_ise(x, h, mix):
     Raises
     ------
     ShapeMismatch, TooFewPoints, OutOfRange
-        If the sample has more than two dimensions, no point, or a NaN
-        or infinite value, as the exact pair sums check it; or, for
-        ``ShapeMismatch``, if the dimensions disagree.
+        For a bad sample, see :func:`~fastband.binning._as_sample`.
+    ShapeMismatch
+        If the sample, bandwidth and mixture dimensions disagree.
     """
     bw = as_bandwidth(h)
-    x = _pair_sample(x)
+    x = _as_sample(x)
     n, d = x.shape
     if d != mix.d or bw.d != d:
         raise ShapeMismatch("sample, bandwidth and mixture dimensions disagree")

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binning import GridCounts, GridSpec, linear_binning, make_grid
+from .binning import GridCounts, GridSpec, _as_sample, linear_binning, make_grid
 from .errors import (
     AllDuplicates,
     FastbandError,
@@ -25,6 +25,7 @@ from .fftconv import DEFAULT_TAU, convolve, convolve_direct
 from .functionals import (
     PSI_MODES,
     PairDifferences,
+    _binned_mode,
     _PairScorer,
     eta_kernel_grid,
     psi_binned,
@@ -228,12 +229,13 @@ def dedup(x):
     the diagonal of the selected ``H`` is 4 to 9 times that selected on
     the unrounded points.
 
-    The rows are sorted by a column ``lexsort`` (first column first)
-    and a row is dropped when it equals the row before it, so the result
-    has the rows and the order of ``np.unique(x, axis=0)``.  Rows that
-    differ only in the sign of a zero compare equal; of those the first
-    in ``x`` is kept, where ``np.unique`` may keep either.  A row with a
-    NaN equals no row and is kept, as ``np.unique`` keeps it.
+    ``x`` is read by :func:`~fastband.binning._as_sample`: a 1-d ``x``
+    is ``n`` points in one dimension.  The rows are sorted by a column
+    ``lexsort`` (first column first) and a row is dropped when it equals
+    the row before it, so the result has the rows and the order of
+    ``np.unique(x, axis=0)``.  Rows that differ only in the sign of a
+    zero compare equal; of those the first in ``x`` is kept, where
+    ``np.unique`` may keep either.
 
     Returns
     -------
@@ -241,16 +243,13 @@ def dedup(x):
 
     Raises
     ------
-    ShapeMismatch
-        If ``x`` has more than two dimensions.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad sample, see :func:`~fastband.binning._as_sample`.
     AllDuplicates
         If fewer than two distinct rows remain.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.ndim > 2:
-        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
-    # Rows without columns are all equal; lexsort needs at least one key.
-    rows = x[np.lexsort(x.T[::-1])] if x.shape[1] else x
+    x = _as_sample(x)
+    rows = x[np.lexsort(x.T[::-1])]
     keep = np.ones(rows.shape[0], dtype=bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
     out = rows[keep]
@@ -259,33 +258,16 @@ def dedup(x):
     return out
 
 
-def _as_sample(x):
-    """``x`` as an ``(n, d)`` float array; a 1-d array is ``n`` points in one dimension.
-
-    Raises ``ShapeMismatch`` above two dimensions and ``OutOfRange`` if a
-    value is NaN or infinite.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 2:
-        raise ShapeMismatch(f"expected an (n, d) sample, got shape {x.shape}")
-    x = x.reshape(-1, 1) if x.ndim == 1 else np.atleast_2d(x)
-    if not np.all(np.isfinite(x)):
-        raise OutOfRange("sample contains NaN or infinite values")
-    return x
-
-
 def normal_scale_start(x, diagonal=False):
     """Normal-scale starting bandwidth ``n^(-2 / (d + 4)) * cov(X)``.
 
-    ``x`` is an ``(n, d)`` sample; a 1-d array is read as ``n`` points in
-    one dimension, as :func:`select_bandwidth` reads it.
+    ``x`` is an ``(n, d)`` sample, read by
+    :func:`~fastband.binning._as_sample`.
 
     Raises
     ------
-    ShapeMismatch
-        If the sample has more than two dimensions.
-    OutOfRange
-        If the sample contains NaN or infinite values.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad sample, see :func:`~fastband.binning._as_sample`.
     TooFewPoints
         If it has fewer than two rows, which a covariance needs.
     """
@@ -322,11 +304,12 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
 
     Parameters
     ----------
-    data : (n, d) array_like, PairDifferences or GridCounts
-        For ``"direct-exact"``, the raw sample (its pair differences
-        are streamed and not kept; it needs at least one point, all
-        finite) or its cached ``PairDifferences``; for the binned modes,
-        the binned sample.
+    data : (n, d) or (n,) array_like, PairDifferences or GridCounts
+        For ``"direct-exact"``, the raw sample (read by
+        :func:`~fastband.binning._as_sample`; its pair differences are
+        streamed and not kept) or its cached ``PairDifferences``; for
+        the binned modes, the binned sample, whose counts must not sum
+        to 0.
     h : (d, d) array_like or BandwidthMatrix
         Bandwidth matrix.
     r : int, optional
@@ -480,8 +463,7 @@ def select_bandwidth(x, config=None):
     Parameters
     ----------
     x : (n, d) or (n,) array_like
-        Sample points; a 1-d array is read as ``n`` points in one
-        dimension.
+        Sample points, read by :func:`~fastband.binning._as_sample`.
     config : SelectorConfig, optional
         Selection knobs; defaults are sensible for moderate samples.
 
@@ -491,10 +473,8 @@ def select_bandwidth(x, config=None):
 
     Raises
     ------
-    OutOfRange
-        If the sample contains NaN or infinite values.
-    ShapeMismatch
-        If the sample has more than two dimensions.
+    ShapeMismatch, TooFewPoints, OutOfRange
+        For a bad sample, see :func:`~fastband.binning._as_sample`.
     TooFewPoints
         If fewer than 10 distinct points remain.
 
@@ -507,7 +487,7 @@ def select_bandwidth(x, config=None):
     (2, 2)
     """
     cfg = config or SelectorConfig()
-    x = dedup(_as_sample(x))
+    x = dedup(x)
     n, d = x.shape
     if n < _MIN_POINTS:
         raise TooFewPoints(f"need at least {_MIN_POINTS} distinct points, got {n}")
@@ -598,12 +578,17 @@ def kde_on_grid(gc, h, mode="fft-L", tau=DEFAULT_TAU):
     -------
     ndarray
         Density values with the grid's shape.
+
+    Raises
+    ------
+    TooFewPoints
+        If the counts sum to 0.
     """
     if not isinstance(gc, GridCounts):
         raise ShapeMismatch("kde_on_grid expects GridCounts from linear_binning")
+    if not gc.n > 0:
+        raise TooFewPoints("the binned sample has no weight")
+    direct = _binned_mode(mode)[0]
     kernel = eta_kernel_grid(gc.grid, h, 0, mode=mode, tau=tau)
-    if mode == "direct-binned":
-        conv = convolve_direct(gc.counts, kernel)
-    else:
-        conv = convolve(gc.counts, kernel)
+    conv = (convolve_direct if direct else convolve)(gc.counts, kernel)
     return conv / gc.n

@@ -11,18 +11,23 @@ from scipy.stats import multivariate_normal
 from fastband import (
     PSI_MODES,
     BandwidthMatrix,
+    GridSpec,
+    NormalMixture,
     OutOfRange,
     PairDifferences,
+    SelectorConfig,
     ShapeMismatch,
     TooFewPoints,
     as_bandwidth,
     build_kernel_grid,
     convolve,
     cv_kernel,
+    dedup,
     effective_halfwidths,
     eta_kernel_grid,
     eta_rs,
     exact_ise,
+    grid_points,
     kde_on_grid,
     kh_zero,
     linear_binning,
@@ -30,12 +35,14 @@ from fastband import (
     make_grid,
     mixture_catalog,
     normal_pdf,
+    normal_scale_start,
     padded_size_full,
     psi_binned,
     psi_direct,
     q_r_binned,
     q_r_exact,
     sample_mixture,
+    select_bandwidth,
     t_h,
 )
 from fastband import functionals
@@ -493,34 +500,61 @@ def test_psi_direct_rejects_a_bandwidth_of_another_dimension(rng, n):
                 q_r_exact(data, h, 0)
 
 
+# Each route takes a sample and its dimension d, which sizes the bandwidth,
+# the mixture or the grid it is read against.
 _EXACT_ROUTES = {
-    "psi_direct": lambda x: psi_direct(x, 0.3 * np.eye(2)),
-    "q_r_exact": lambda x: q_r_exact(x, 0.3 * np.eye(2), 1),
-    "lscv_objective": lambda x: lscv_objective(x, 0.3 * np.eye(2), mode="direct-exact"),
-    "PairDifferences": PairDifferences,
-    "exact_ise": lambda x: exact_ise(x, 0.3 * np.eye(2), mixture_catalog("bimodal")),
+    "psi_direct": lambda x, d: psi_direct(x, 0.3 * np.eye(d)),
+    "q_r_exact": lambda x, d: q_r_exact(x, 0.3 * np.eye(d), 1),
+    "lscv_objective": lambda x, d: lscv_objective(x, 0.3 * np.eye(d), mode="direct-exact"),
+    "PairDifferences": lambda x, d: PairDifferences(x),
+    "exact_ise": lambda x, d: exact_ise(
+        x, 0.3 * np.eye(d), NormalMixture([1.0], np.zeros((1, d)), [np.eye(d)])),
+}
+
+# Every entry point that takes a sample, each returning arrays to compare.
+_SAMPLE_ROUTES = {
+    **_EXACT_ROUTES,
+    "PairDifferences": lambda x, d: PairDifferences(x).x,
+    "select_bandwidth": lambda x, d: select_bandwidth(
+        x, SelectorConfig(grid_size=20, max_iter=20)).h,
+    "normal_scale_start": lambda x, d: normal_scale_start(x),
+    "dedup": lambda x, d: dedup(x),
+    "make_grid": lambda x, d: grid_points(make_grid(x, (9,) * d)),
+    "linear_binning": lambda x, d: linear_binning(
+        x, GridSpec(lo=[-6.0] * d, hi=[6.0] * d, shape=(9,) * d)).counts,
 }
 
 
-@pytest.mark.parametrize("route", sorted(_EXACT_ROUTES))
+@pytest.mark.parametrize("route", sorted(_SAMPLE_ROUTES))
 @pytest.mark.parametrize("x, error", [
     (np.zeros((2, 3, 2)), ShapeMismatch),
     (np.zeros((0, 2)), TooFewPoints),
     (np.array([[0.0, 1.0], [np.nan, 0.5]]), OutOfRange),
     (np.array([[0.0, 1.0], [np.inf, 0.5]]), OutOfRange),
     (np.array([[0.0, 1.0], [2.0, -np.inf]]), OutOfRange),
-], ids=["3-D", "no-rows", "nan", "inf", "-inf"])
+    (np.array(1.5), ShapeMismatch),
+    (np.zeros((4, 0)), ShapeMismatch),
+    (np.random.default_rng(8).standard_normal(30), None),
+], ids=["3-D", "no-rows", "nan", "inf", "-inf", "0-d", "no-columns", "1-d"])
 def test_exact_routes_refuse_a_bad_sample_with_a_typed_error(route, x, error):
-    # The exact routes check a raw sample where they first read it, not
-    # with a raw ValueError, a ZeroDivisionError or a silent NaN.
+    # Every sample entry reads a raw sample by one rule, where it first
+    # reads it, not with a raw ValueError, a ZeroDivisionError or a
+    # silent NaN.  A 1-d sample is no bad sample: it is n points in one
+    # dimension, the same as its (n, 1) column.  A bad one is read
+    # against its own last axis (one for 0-d), so that the refusal comes
+    # from the sample, not from a bandwidth or grid of another dimension.
+    call = _SAMPLE_ROUTES[route]
+    if error is None:
+        assert np.array_equal(call(x, 1), call(x[:, None], 1))
+        return
     with pytest.raises(error):
-        _EXACT_ROUTES[route](x)
+        call(x, x.shape[-1] if x.ndim else 1)
 
 
 @pytest.mark.parametrize("route", sorted(_EXACT_ROUTES))
 def test_exact_routes_accept_one_point(route):
     # One point is still a sample: its pair sum is the kernel at 0.
-    out = _EXACT_ROUTES[route](np.ones((1, 2)))
+    out = _EXACT_ROUTES[route](np.ones((1, 2)), 2)
     assert out.blocks == () if route == "PairDifferences" else math.isfinite(out)
 
 

@@ -9,10 +9,26 @@ from scipy.stats import multivariate_normal
 from fastband import (
     MAX_FUNCTIONAL_ORDER,
     OutOfRange,
+    SelectorConfig,
+    ShapeMismatch,
+    build_kernel_grid,
+    cv_kernel,
+    eta_kernel_grid,
     eta_r,
     eta_rs,
     gaussian_derivative_vector,
+    linear_binning,
+    lscv_objective,
+    make_grid,
+    mixture_catalog,
+    mixture_pdf,
     normal_pdf,
+    psi_binned,
+    psi_direct,
+    q_r_binned,
+    q_r_exact,
+    select_bandwidth,
+    t_h,
 )
 
 from .conftest import random_spd
@@ -232,10 +248,67 @@ def test_eta_r_hermite_products_match_tensor_engine(rng):
                 assert np.max(np.abs(eta_r(x, sigma, r) - ref)) <= bound * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("r", [-1, MAX_FUNCTIONAL_ORDER + 1, 1.5, True])
+_X = np.random.default_rng(11).standard_normal((40, 2))
+_GC = linear_binning(_X, make_grid(_X, (12, 12)))
+_H = 0.4 * np.eye(2)
+
+# Every entry point that takes an order.
+_ORDER_ENTRIES = {
+    "SelectorConfig": lambda r: select_bandwidth(
+        _X, SelectorConfig(r=r, grid_size=12, max_iter=10)).h,
+    "psi_binned": lambda r: psi_binned(_GC, _H, r),
+    "q_r_binned": lambda r: q_r_binned(_GC, _H, r),
+    "psi_direct": lambda r: psi_direct(_X, _H, r),
+    "q_r_exact": lambda r: q_r_exact(_X, _H, r),
+    "lscv_objective": lambda r: lscv_objective(_GC, _H, r),
+    "build_kernel_grid": lambda r: build_kernel_grid(_GC.grid, _H, r),
+    "eta_kernel_grid": lambda r: eta_kernel_grid(_GC.grid, _H, r),
+    "cv_kernel": lambda r: cv_kernel(_X[:5], _H, r),
+    "eta_r": lambda r: eta_r(_X[:5], _H, r),
+    "eta_rs r": lambda r: eta_rs(_X[:5], _H, r, 0, np.eye(2)),
+    "eta_rs s": lambda r: eta_rs(_X[:5], _H, 0, r, np.eye(2), _H),
+    "gaussian_derivative_vector": lambda r: gaussian_derivative_vector(_X[:5], _H, r),
+}
+# The top of each range, MAX_FUNCTIONAL_ORDER but for the derivative engine.
+_ORDER_TOPS = {"gaussian_derivative_vector": 2 * MAX_FUNCTIONAL_ORDER}
+# One above the top of each entry's range.
+_ABOVE = "above"
+
+
+@pytest.mark.parametrize("r", [-1, _ABOVE, 1.5, True, 0.0, False, np.int64(2)],
+                         ids=["-1", str(MAX_FUNCTIONAL_ORDER + 1), "1.5", "True", "0.0", "False",
+                              "int64"])
 def test_eta_r_order_must_be_an_integer_in_range(r):
-    with pytest.raises(OutOfRange):
-        eta_r(np.zeros(2), np.eye(2), r)
+    # One rule at every entry: an integer, not a bool, in [0, top].  A
+    # numpy integer is one, and gives the bits of the Python int.
+    for name, call in _ORDER_ENTRIES.items():
+        if isinstance(r, np.int64):
+            assert np.array_equal(call(r), call(int(r))), name
+            continue
+        top = _ORDER_TOPS.get(name, MAX_FUNCTIONAL_ORDER)
+        with pytest.raises(OutOfRange):
+            call(top + 1 if r is _ABOVE else r)
+
+
+_POINT_ENTRIES = {
+    "normal_pdf": lambda x: normal_pdf(x, _H),
+    "eta_r": lambda x: eta_r(x, _H, 1),
+    "cv_kernel": lambda x: cv_kernel(x, _H, 1),
+    "t_h": lambda x: t_h(x, _H),
+    "mixture_pdf": lambda x: mixture_pdf(mixture_catalog("bimodal"), x),
+    "eta_rs": lambda x: eta_rs(x, _H, 1, 0, np.eye(2)),
+    "gaussian_derivative_vector": lambda x: gaussian_derivative_vector(x, _H, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRIES))
+def test_points_are_one_point_or_an_n_by_d_array(entry):
+    # A (d,) array is one point, valued as the (1, d) array of it; any
+    # other shape is refused, not read as (n, d) rows.
+    call = _POINT_ENTRIES[entry]
+    assert np.array_equal(np.ravel(call(_X[0])), np.ravel(call(_X[:1])))
+    with pytest.raises(ShapeMismatch):
+        call(np.zeros((4, 2, 2)))
 
 
 def test_eta_functional_order_cap():

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 import fastband.mixtures
+from fastband.cli import main
 
 from fastband import (
     BandwidthMatrix,
@@ -64,11 +65,27 @@ def ise_quadrature_oracle(x, h, mix, half_extent=8.0, nodes=400):
 # the mixture type
 # ---------------------------------------------------------------------------
 
-def test_mixture_validates_weights():
+def test_mixture_validates_weights(tmp_path):
     with pytest.raises(OutOfRange):
         NormalMixture([0.5, 0.4], np.zeros((2, 2)), [np.eye(2), np.eye(2)])
     with pytest.raises(OutOfRange):
         NormalMixture([1.5, -0.5], np.zeros((2, 2)), [np.eye(2), np.eye(2)])
+    # A NaN weight, and a NaN or infinite mean, are refused by the
+    # constructor, so a mixture file holding one is a parse error and an
+    # input error (exit 2) of the CLI.
+    covs = [np.eye(2), np.eye(2)]
+    for weights, means in (([np.nan, 1.0], np.zeros((2, 2))),
+                           ([0.5, 0.5], [[0.0, np.nan], [1.0, 1.0]]),
+                           ([0.5, 0.5], [[0.0, 0.0], [np.inf, 1.0]])):
+        with pytest.raises(OutOfRange):
+            NormalMixture(weights, means, covs)
+        path = tmp_path / "mixture.json"
+        path.write_text(json.dumps({"weights": weights, "means": np.asarray(means).tolist(),
+                                    "covs": np.asarray(covs).tolist()}))
+        with pytest.raises(ParseError):
+            load_mixture(path)
+        assert main(["ise-study", "--model-file", str(path), "--n", "50", "--grids", "10",
+                     "--reps", "1"]) == 2
 
 
 def test_mixture_pdf_single_component():

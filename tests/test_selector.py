@@ -17,6 +17,7 @@ from fastband import (
     AllDuplicates,
     BandwidthMatrix,
     FastbandError,
+    GridCounts,
     NormalMixture,
     OutOfRange,
     PairDifferences,
@@ -85,7 +86,8 @@ def test_dedup_requires_two_distinct_points():
         dedup(np.ones((5, 2)))
     with pytest.raises(AllDuplicates):
         dedup(np.tile([[1.5, -2.0, 0.0]], (7, 1)))
-    with pytest.raises(AllDuplicates):
+    # A sample without columns is no sample, whatever its row count.
+    with pytest.raises(ShapeMismatch):
         dedup(np.empty((4, 0)))
     with pytest.raises(ShapeMismatch):
         dedup(np.ones((4, 2, 2)))
@@ -194,10 +196,18 @@ def test_lscv_objective_on_pair_differences_equals_raw_sample(rng, r):
 
 def test_binned_modes_reject_pair_differences(rng):
     x = rng.standard_normal((30, 2))
+    # Counts summing to 0 are no binned sample: every pair sum would be 0 / 0.
+    empty = GridCounts(grid=make_grid(x, (8, 8)), counts=np.zeros((8, 8)))
     for mode in SELECTOR_MODES:
         if mode != "direct-exact":
             with pytest.raises(ShapeMismatch):
                 lscv_objective(PairDifferences(x), np.eye(2), mode=mode)
+            for call in (lambda: lscv_objective(empty, np.eye(2), mode=mode),
+                         lambda: functionals.psi_binned(empty, np.eye(2), mode=mode),
+                         lambda: functionals.q_r_binned(empty, np.eye(2), 0, mode=mode),
+                         lambda: kde_on_grid(empty, np.eye(2), mode=mode)):
+                with pytest.raises(TooFewPoints):
+                    call()
 
 
 def test_direct_exact_selection_builds_the_pair_table_once(rng, monkeypatch):
