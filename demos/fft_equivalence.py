@@ -5,7 +5,8 @@ Binned pair sums: exact equivalence and truncated speed
 The binned cross-validation statistic ``n^-2 sum_i c_i (c * k)_i`` is a
 convolution of grid counts with a kernel sampled on grid offsets.  It
 equals ``n^-2 sum_j A(j) k(delta j)`` with ``A`` the autocorrelation of
-the counts, which one real FFT pair per sample computes.  Computed
+the counts, which one forward real FFT and a half-size inverse per
+sample compute.  Computed
 three ways:
 
 * ``direct-binned``   explicit convolution over kernel offsets (the oracle)

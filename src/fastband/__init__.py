@@ -4,8 +4,8 @@ The package builds kernel density estimates on regular grids: samples
 are linearly binned, cross-validation kernels are tabulated on grid
 offsets, and the pairwise double sums behind least-squares
 cross-validation become one sum of the kernel table's half space
-against the count autocorrelation folded onto it, which a single real
-FFT pair per sample gives.  A Nelder-Mead search over log-Cholesky
+against the count autocorrelation folded onto it, which one forward
+real FFT and a half-size inverse per sample give.  A Nelder-Mead search over log-Cholesky
 coordinates then minimizes the objective over all symmetric positive
 definite bandwidth matrices.
 Integrated density derivative functionals of higher order ride the same

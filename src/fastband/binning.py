@@ -4,11 +4,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateAxis, OutOfRange, ShapeMismatch, TooFewPoints
-from .fftconv import autocorrelate
+from .fftconv import _half_autocorrelation
 
 __all__ = ["GridSpec", "GridCounts", "make_grid", "linear_binning", "grid_points"]
 
@@ -39,6 +40,11 @@ def _as_sample(x):
     return x
 
 
+def _is_int(value):
+    """Whether ``value`` is an integer count: an ``Integral`` that is not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # grid geometry
 # ---------------------------------------------------------------------------
@@ -54,7 +60,15 @@ class GridSpec:
     hi : (d,) ndarray
         Coordinate of the last node on each axis, finite.
     shape : tuple of int
-        Number of nodes per axis, each at least 2.
+        Number of nodes per axis, each an integer of at least 2.
+
+    Raises
+    ------
+    OutOfRange
+        If a node count is not an integer (a float or a bool, say) or
+        is below 2, or a bound is not finite or ``hi <= lo`` on some axis.
+    ShapeMismatch
+        If ``lo``, ``hi`` and ``shape`` differ in dimension.
     """
 
     lo: np.ndarray
@@ -64,7 +78,10 @@ class GridSpec:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
-        shape = tuple(int(m) for m in np.atleast_1d(self.shape))
+        dims = self.shape if np.ndim(self.shape) else (self.shape,)
+        if not all(_is_int(m) for m in dims):
+            raise OutOfRange(f"node counts must be integers, got {self.shape!r}")
+        shape = tuple(int(m) for m in dims)
         if not (lo.shape == hi.shape and lo.size == len(shape)):
             raise ShapeMismatch("lo, hi and shape must agree in dimension")
         if any(m < 2 for m in shape):
@@ -119,8 +136,9 @@ class GridCounts:
     """Linear-binning weights attached to the grid they live on.
 
     The counts are treated as fixed once attached: the folded half of
-    their autocorrelation is computed on first use and cached, and the
-    full autocorrelation it folds is not kept.
+    their autocorrelation is computed on first use and cached.  Only the
+    half ``j_1 >= 0`` of the autocorrelation is ever computed; the full
+    table is not built.
     """
 
     grid: GridSpec
@@ -135,19 +153,21 @@ class GridCounts:
     def folded_autocorrelation(self):
         """The count autocorrelation ``A`` folded onto the half space ``j_1 >= 0`` (cached).
 
-        ``A`` is :func:`autocorrelate` of the counts, a temporary.
-
-        ``W(j) = A(j) + A(-j)`` for ``j_1 > 0`` and ``(A(j) + A(-j)) / 2``
-        on the slab ``j_1 = 0``, so ``sum_j A(j) k(j) = sum_{j_1 >= 0}
-        W(j) k(j)`` for every even ``k``.  Since ``0 <= A(j) <= A(0)``,
-        ``0 <= W(j) <= 2 A(0)``.  Shape ``(M_1, 2 M_2 - 1, ..., 2 M_d -
+        ``A`` is read on ``j_1 >= 0`` only, from one half-size inverse
+        transform (:func:`~fastband.fftconv._half_autocorrelation`).
+        Since ``A(-j) = A(j)``, ``W(j) = 2 A(j)`` for ``j_1 > 0``, and
+        on the slab ``j_1 = 0``, ``W(0, j') = (A(0, j') + A(0, -j')) /
+        2``, which is exactly symmetric in ``j'``.  So ``sum_j A(j) k(j)
+        = sum_{j_1 >= 0} W(j) k(j)`` for every even ``k``, and ``W`` is
+        bit for bit the fold of :func:`autocorrelate`'s full table.
+        Since ``0 <= A(j) <= A(0)``, ``0 <= W(j) <= 2 A(0)``, up to the
+        transform's round-off.  Shape ``(M_1, 2 M_2 - 1, ..., 2 M_d -
         1)``, the zero offset at index ``(0, M_2 - 1, ..., M_d - 1)``;
         read-only.
         """
-        a = autocorrelate(self.counts)
-        m = self.counts.shape[0]
-        folded = a[m - 1:] + np.flip(a)[m - 1:]
-        folded[0] *= 0.5
+        half = _half_autocorrelation(self.counts)
+        folded = half + half
+        folded[0] = (half[0] + np.flip(half[0])) * 0.5
         folded.flags.writeable = False
         return folded
 
@@ -160,7 +180,7 @@ def make_grid(x, shape, margin_fraction=0.05):
     x : (n, d) or (n,) array_like
         Sample points, read by :func:`_as_sample`.
     shape : sequence of int
-        Nodes per axis.
+        Nodes per axis, each an integer of at least 2.
     margin_fraction : float, optional
         Fraction of each axis range added below the minimum and above
         the maximum (default 0.05), finite and nonnegative.
@@ -174,7 +194,8 @@ def make_grid(x, shape, margin_fraction=0.05):
     DegenerateAxis
         If all sample values coincide along some axis.
     OutOfRange
-        If ``margin_fraction`` is negative or not finite.
+        If ``margin_fraction`` is negative or not finite, or a node
+        count is refused by :class:`GridSpec`.
     ShapeMismatch, TooFewPoints, OutOfRange
         For a bad sample, see :func:`_as_sample`.
     """
@@ -189,7 +210,7 @@ def make_grid(x, shape, margin_fraction=0.05):
         raise DegenerateAxis(f"axis {bad[0]} has zero range")
     lo = mins - margin_fraction * rng
     hi = maxs + margin_fraction * rng
-    return GridSpec(lo=lo, hi=hi, shape=tuple(shape))
+    return GridSpec(lo=lo, hi=hi, shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +224,11 @@ def linear_binning(x, grid):
     ``w_k`` is one minus the normalized distance to that corner along
     axis ``k``.  Weights over the corners of a cell sum to one, so the
     counts sum to the sample size.
+
+    The weights and flat node indices of all ``2^d`` corners go
+    corner-major into one ``(2^d, n)`` buffer each and are summed by
+    one ``np.bincount``, which adds each node's terms in that order,
+    from 0: corner by corner, point by point within a corner.
 
     Parameters
     ----------
@@ -234,14 +260,18 @@ def linear_binning(x, grid):
     t = np.clip(t, 0.0, np.array(grid.shape) - 1)
     base = np.minimum(t.astype(int), np.array(grid.shape) - 2)
     frac = t - base
-    counts = np.zeros(grid.shape)
-    for corner in product((0, 1), repeat=grid.d):
+    flat = np.ravel_multi_index(tuple(base.T), grid.shape)
+    corners = list(product((0, 1), repeat=grid.d))
+    weights = np.empty((len(corners), x.shape[0]))
+    idx = np.empty((len(corners), x.shape[0]), dtype=np.intp)
+    for row, corner in enumerate(corners):
         w = np.ones(x.shape[0])
         for k, c in enumerate(corner):
             w = w * (frac[:, k] if c else 1.0 - frac[:, k])
-        idx = tuple(base[:, k] + corner[k] for k in range(grid.d))
-        np.add.at(counts, idx, w)
-    return GridCounts(grid=grid, counts=counts)
+        weights[row] = w
+        np.add(flat, np.ravel_multi_index(corner, grid.shape), out=idx[row])
+    counts = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=math.prod(grid.shape))
+    return GridCounts(grid=grid, counts=counts.reshape(grid.shape))
 
 
 def grid_points(grid):

@@ -269,10 +269,12 @@ def autocorrelate(counts):
     ``j_k = -(M_k - 1) .. M_k - 1``, so the zero offset sits at index
     ``M_k - 1`` on each axis; the layout matches a full-support kernel
     grid.  For any kernel grid ``k`` the binned pair sum is
-    ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)``, so one transform
-    pair per sample serves every bandwidth.  The real transforms run
-    at the smallest 5-smooth size ``>= 2 M_k - 1`` per axis, long
-    enough that the circular product does not wrap.
+    ``sum_i c_i (c * k)_i = sum_j A(j) k(delta j)``, so one
+    autocorrelation per sample serves every bandwidth.
+
+    ``A(-j) = A(j)``, so only the half ``j_1 >= 0`` is computed (see
+    :func:`_half_autocorrelation`) and the other half is that table
+    mirrored through the origin.
 
     Parameters
     ----------
@@ -283,18 +285,48 @@ def autocorrelate(counts):
     -------
     ndarray of shape ``(2 M_1 - 1, ..., 2 M_d - 1)``.
     """
+    half = _half_autocorrelation(counts)
+    return np.concatenate((np.flip(half[1:]), half))
+
+
+def _half_autocorrelation(counts):
+    """The autocorrelation ``A(j)`` of the counts on the half space ``j_1 >= 0``.
+
+    Shape ``(M_1, 2 M_2 - 1, ..., 2 M_d - 1)``: rows ``j_1 = 0 .. M_1 -
+    1``, and offsets ``-(M_k - 1) .. M_k - 1`` on the other axes, the
+    zero offset at index ``(0, M_2 - 1, ..., M_d - 1)``.
+
+    The counts' real transform runs at the smallest 5-smooth size
+    ``P_k >= 2 M_k - 1`` per axis, long enough that the circular
+    product does not wrap.  Their power spectrum is real and even, so
+    the inverse's first pass is a real-input transform (``ihfft``) that
+    keeps only the ``M_1`` rows wanted, and the remaining passes run on
+    those rows alone.  The passes are unscaled and the result is scaled
+    once by ``1 / prod(P)``.
+    """
     counts = np.asarray(counts, dtype=float)
-    padded = tuple(_next_fast_len_real(2 * m - 1) for m in counts.shape)
+    shape = counts.shape
+    padded = tuple(_next_fast_len_real(2 * m - 1) for m in shape)
     spec = _rfftn(counts, padded)
-    # The power spectrum |spec|^2 replaces spec in place, with zero
-    # imaginary part, so the inverse needs no complex copy of it.
-    re, im = spec.real, spec.imag
-    re *= re
-    re += im * im
-    im[...] = 0.0
-    circular = _irfftn(spec, padded)
-    offsets = [np.arange(1 - m, m) % p for m, p in zip(counts.shape, padded)]
-    return circular[np.ix_(*offsets)]
+    power = spec.real ** 2
+    power += spec.imag ** 2
+    del spec
+    if len(shape) == 1:
+        half = np.fft.irfft(power, n=padded[0], norm="forward")[:shape[0]]
+    else:
+        part = np.fft.ihfft(power, axis=0, norm="forward")[:shape[0]]
+        del power
+        for axis in range(1, len(shape) - 1):
+            np.fft.ifft(part, axis=axis, norm="forward", out=part)
+        half = np.fft.irfft(part, n=padded[-1], axis=-1, norm="forward")
+    half *= 1.0 / math.prod(padded)
+    for axis, (m, p) in enumerate(zip(shape[1:], padded[1:]), start=1):
+        below = [slice(None)] * len(shape)
+        above = [slice(None)] * len(shape)
+        below[axis] = slice(p - m + 1, p)
+        above[axis] = slice(0, m)
+        half = np.concatenate((half[tuple(below)], half[tuple(above)]), axis=axis)
+    return half
 
 
 class CountsFftCache:

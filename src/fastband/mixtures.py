@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, ParseError, ShapeMismatch, UnknownModel
-from .binning import _as_sample
+from .errors import NotPositiveDefinite, OutOfRange, ParseError, ShapeMismatch, UnknownModel
+from .binning import _as_sample, _is_int
 from .functionals import q_r_exact
 from .gaussian import _as_points, normal_pdf
 from .linalg import as_bandwidth, cholesky
@@ -111,16 +111,21 @@ def sample_mixture(mix, n, rng):
     ----------
     mix : NormalMixture
     n : int
-        Number of draws, at least 1.
+        Number of draws, an integer of at least 1.
     rng : numpy.random.Generator
 
     Returns
     -------
     (n, d) ndarray
+
+    Raises
+    ------
+    OutOfRange
+        If ``n`` is not an integer (a float or a bool, say) or is below 1.
     """
+    if not _is_int(n) or n < 1:
+        raise OutOfRange(f"n must be an integer >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise OutOfRange("n must be at least 1")
     labels = rng.choice(mix.q, size=n, p=mix.weights)
     z = rng.standard_normal((n, mix.d))
     out = np.empty((n, mix.d))
@@ -276,7 +281,9 @@ def load_mixture(path):
     Raises
     ------
     ParseError
-        If the file is not valid JSON or lacks the required fields.
+        If the file is not valid JSON, lacks the required fields, or
+        holds a mixture that is invalid, a covariance that is not
+        positive definite among them.
     """
     try:
         with open(path) as fh:
@@ -293,5 +300,5 @@ def load_mixture(path):
         ) from exc
     try:
         return NormalMixture(weights, means, covs)
-    except (OutOfRange, ShapeMismatch, ValueError) as exc:
+    except (NotPositiveDefinite, OutOfRange, ShapeMismatch, ValueError) as exc:
         raise ParseError(f"mixture file {path} is invalid: {exc}") from exc

@@ -5,13 +5,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
-from numbers import Integral
 from operator import add
 from typing import Optional
 
 import numpy as np
 
-from .binning import GridCounts, GridSpec, _as_sample, linear_binning, make_grid
+from .binning import GridCounts, GridSpec, _as_sample, _is_int, linear_binning, make_grid
 from .errors import (
     AllDuplicates,
     FastbandError,
@@ -123,10 +122,6 @@ class SelectorConfig:
             raise OutOfRange(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
-def _is_int(value):
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass
 class SimplexResult:
     """Outcome of a Nelder-Mead run."""
@@ -165,6 +160,9 @@ class SelectionResult:
         Sample size after deduplication.
     grid : GridSpec or None
         Binning grid for binned modes, None for ``"direct-exact"``.
+    dedup_ms : float
+        Wall time of dropping the sample's repeated rows (:func:`dedup`),
+        in milliseconds.
     binning_ms : float
         Wall time of building that grid and binning the sample into it,
         in milliseconds; 0.0 for ``"direct-exact"``.
@@ -203,6 +201,7 @@ class SelectionResult:
     mode: str
     n_used: int
     grid: Optional[GridSpec] = None
+    dedup_ms: float = 0.0
     binning_ms: float = 0.0
     n_rejected: int = 0
     precompute_ms: float = 0.0
@@ -230,12 +229,15 @@ def dedup(x):
     the unrounded points.
 
     ``x`` is read by :func:`~fastband.binning._as_sample`: a 1-d ``x``
-    is ``n`` points in one dimension.  The rows are sorted by a column
-    ``lexsort`` (first column first) and a row is dropped when it equals
-    the row before it, so the result has the rows and the order of
-    ``np.unique(x, axis=0)``.  Rows that differ only in the sign of a
-    zero compare equal; of those the first in ``x`` is kept, where
-    ``np.unique`` may keep either.
+    is ``n`` points in one dimension.  The result has the rows and the
+    order of ``np.unique(x, axis=0)``.  The first column is sorted
+    first, by a stable ``argsort``; when its values all differ, as for
+    continuous data, that order is final and no row repeats.  Otherwise
+    the rows are sorted by a column ``lexsort`` (first column first) and
+    a row is dropped when it equals the row before it.  Rows that differ
+    only in the sign of a zero compare equal, so they take that second
+    route; of those the first in ``x`` is kept, where ``np.unique`` may
+    keep either.
 
     Returns
     -------
@@ -249,10 +251,15 @@ def dedup(x):
         If fewer than two distinct rows remain.
     """
     x = _as_sample(x)
-    rows = x[np.lexsort(x.T[::-1])]
-    keep = np.ones(rows.shape[0], dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-    out = rows[keep]
+    order = np.argsort(x[:, 0], kind="stable")
+    first = x[order, 0]
+    if (first[1:] != first[:-1]).all():
+        out = x[order]
+    else:
+        rows = x[np.lexsort(x.T[::-1])]
+        keep = np.ones(rows.shape[0], dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+        out = rows[keep]
     if out.shape[0] < 2:
         raise AllDuplicates("sample collapses to fewer than two distinct points")
     return out
@@ -487,7 +494,9 @@ def select_bandwidth(x, config=None):
     (2, 2)
     """
     cfg = config or SelectorConfig()
+    t0 = time.perf_counter()
     x = dedup(x)
+    dedup_ms = (time.perf_counter() - t0) * 1000.0
     n, d = x.shape
     if n < _MIN_POINTS:
         raise TooFewPoints(f"need at least {_MIN_POINTS} distinct points, got {n}")
@@ -541,6 +550,7 @@ def select_bandwidth(x, config=None):
         mode=cfg.mode,
         n_used=n,
         grid=grid,
+        dedup_ms=dedup_ms,
         binning_ms=binning_ms,
         n_rejected=sim.n_rejected,
         precompute_ms=precompute_ms,

@@ -1,5 +1,7 @@
 """Tests for grid construction and linear binning."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,23 @@ def test_grid_spec_validation():
             GridSpec(lo=lo, hi=hi, shape=(5, 5))
 
 
+@pytest.mark.parametrize("shape", [(9.7,), (9.0,), (True,), (np.float64(9.0),), 9.7])
+def test_grid_spec_refuses_non_integer_node_counts(shape):
+    # int() would truncate 9.7 to 9 nodes, and True would pass as 1.
+    with pytest.raises(OutOfRange):
+        GridSpec(lo=[0.0], hi=[1.0], shape=shape)
+    assert GridSpec(lo=[0.0], hi=[1.0], shape=(np.int32(9),)).shape == (9,)
+
+
+def test_make_grid_refuses_non_integer_node_counts(rng):
+    x = rng.standard_normal((20, 2))
+    for shape in ((9.7, 9), (9, 9.0), (9, False), 9.7):
+        with pytest.raises(OutOfRange):
+            make_grid(x, shape)
+    assert make_grid(x, (9, np.int64(8))).shape == (9, 8)
+    assert make_grid(x[:, 0], 9).shape == (9,)
+
+
 def test_make_grid_margin_formula(rng):
     x = rng.uniform(-3.0, 5.0, size=(40, 2))
     g = make_grid(x, (32, 48), margin_fraction=0.05)
@@ -145,13 +164,13 @@ def test_binning_rejects_non_finite_points(bad):
 
 def test_autocorrelation_computed_once_per_grid_counts(rng, monkeypatch):
     calls = []
-    real = fastband.binning.autocorrelate
+    real = fastband.binning._half_autocorrelation
 
     def counting(counts):
         calls.append(counts.shape)
         return real(counts)
 
-    monkeypatch.setattr(fastband.binning, "autocorrelate", counting)
+    monkeypatch.setattr(fastband.binning, "_half_autocorrelation", counting)
     x = rng.standard_normal((100, 2))
     gc = linear_binning(x, make_grid(x, (20, 20)))
     for scale in (0.2, 0.5, 1.0):
@@ -178,6 +197,41 @@ def test_folded_autocorrelation_sums_even_kernels_like_the_full_table(rng, d, m)
     k = rng.random(a.shape)
     k += np.flip(k)
     assert np.sum(w * k[m - 1:]) == pytest.approx(np.sum(a * k), rel=1e-13)
+
+
+@pytest.mark.parametrize("d, m", [(1, 9), (1, 10), (2, 7), (2, 8), (3, 5), (3, 6)])
+def test_folded_autocorrelation_row_zero_is_exactly_symmetric(rng, d, m):
+    x = rng.standard_normal((60, d))
+    w = linear_binning(x, make_grid(x, (m,) * d)).folded_autocorrelation
+    assert np.array_equal(w[0], np.flip(w[0]))
+
+
+def add_at_binning(x, grid):
+    """Linear binning with one ``np.add.at`` per cell corner, corners in ``product`` order."""
+    t = np.clip((x - grid.lo) / grid.delta, 0.0, np.array(grid.shape) - 1)
+    base = np.minimum(t.astype(int), np.array(grid.shape) - 2)
+    frac = t - base
+    counts = np.zeros(grid.shape)
+    for corner in itertools.product((0, 1), repeat=grid.d):
+        w = np.ones(x.shape[0])
+        for k, c in enumerate(corner):
+            w = w * (frac[:, k] if c else 1.0 - frac[:, k])
+        np.add.at(counts, tuple(base[:, k] + corner[k] for k in range(grid.d)), w)
+    return counts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_binning_counts_equal_corner_major_add_at_bitwise(rng, d):
+    # Points on nodes, on the upper edge and many to a cell, so several
+    # terms meet in one node and their summation order shows.
+    x = rng.standard_normal((3000, d))
+    grid = make_grid(x, (17,) * d)
+    x[:50] = grid.lo
+    x[50:100] = grid.hi
+    x[100:200] = grid.lo + grid.delta * rng.integers(0, 17, size=(100, d))
+    counts = linear_binning(x, grid).counts
+    assert counts.shape == grid.shape
+    assert np.array_equal(counts, add_at_binning(x, grid))
 
 
 def test_binning_matches_loop_oracle(rng):

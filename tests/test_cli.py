@@ -198,6 +198,16 @@ def test_ise_study_unknown_model_exits_2(capsys):
     assert json.loads(err)["error"]["type"] == "UnknownModel"
 
 
+def test_ise_study_model_file_not_positive_definite_exits_2(capsys, tmp_path):
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]],
+                                "covs": [[[1.0, 2.0], [2.0, 1.0]]]}))
+    code, _, err = run_cli(capsys, "ise-study", "--model-file", str(path), "--n", "50",
+                           "--grids", "10", "--reps", "1")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ParseError"
+
+
 # ---------------------------------------------------------------------------
 # bench and qr-bench
 # ---------------------------------------------------------------------------

@@ -124,6 +124,15 @@ def test_sampler_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, np.float64(3.0), "3"])
+def test_sampler_refuses_non_integer_counts(n):
+    # int() would truncate 2.5 to 2 draws, and True would pass as 1.
+    with pytest.raises(OutOfRange):
+        sample_mixture(mixture_catalog("standard"), n, np.random.default_rng(0))
+    assert sample_mixture(mixture_catalog("standard"), np.int64(3),
+                          np.random.default_rng(0)).shape == (3, 2)
+
+
 def test_sampler_degenerate_weight_uses_single_component():
     mix = NormalMixture([1.0], [[5.0, 5.0]], [0.01 * np.eye(2)])
     x = sample_mixture(mix, 50, np.random.default_rng(2))

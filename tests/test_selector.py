@@ -96,11 +96,31 @@ def test_dedup_requires_two_distinct_points():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dedup_matches_numpy_unique_rows(d):
     # Same rows in the same lexicographic order as np.unique(axis=0), on
-    # distinct and on tied (rounded) samples.
+    # distinct samples (one sort) and on each input that takes the lexsort
+    # route: ties in the first column only, repeated rows, rounded samples.
     for seed in range(4):
         x = np.random.default_rng([d, seed]).standard_normal((400, d))
-        for y in (x, np.round(x, 1), np.round(x)):
+        tied, repeated = x.copy(), x.copy()
+        tied[::7, 0] = x[3, 0]
+        repeated[::5] = x[2]
+        for y in (x, tied, repeated, np.round(x, 1), np.round(x)):
             assert np.array_equal(dedup(y), np.unique(y, axis=0))
+        # At d = 1 a tie in the first column is a repeated row: rows 0, 7,
+        # ..., 399 join row 3.
+        assert dedup(x).shape[0] == 400 and dedup(repeated).shape[0] == 320
+        assert dedup(tied).shape[0] == (342 if d == 1 else 400)
+
+
+def test_dedup_signed_zeros_compare_equal_and_keep_the_first_row():
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0], [-1.0, 0.5]])
+    out = dedup(x)
+    assert np.array_equal(out, np.unique(x, axis=0))
+    assert out.shape == (3, 2) and not np.signbit(out[1, 0])
+    out = dedup(x[[2, 1, 0, 3]])
+    assert out.shape == (3, 2) and np.signbit(out[1, 0])
+    # Signed zeros in the first column only tie there; both rows stay.
+    y = np.array([[0.0, 1.0], [-0.0, 2.0], [1.0, 0.0]])
+    assert np.array_equal(dedup(y), np.unique(y, axis=0))
 
 
 def test_normal_scale_start_formula(rng):

@@ -100,7 +100,8 @@ def test_traced_selection_records_every_layer_per_evaluation():
         # Only the start is encoded through a BandwidthMatrix.
         assert spans.count("linalg.BandwidthMatrix") == 1
         assert sum(res.rejections.values()) == res.n_rejected
-        phases = [res.binning_ms, res.precompute_ms, res.decode_ms, res.score_ms]
+        phases = [res.binning_ms, res.dedup_ms, res.precompute_ms, res.decode_ms,
+                  res.score_ms]
         assert min(phases[1:]) > 0.0 and sum(phases) <= wall_ms
         if mode == "direct-exact":
             assert res.kernel_points == 0
