@@ -139,10 +139,20 @@ class GridCounts:
     their autocorrelation is computed on first use and cached.  Only the
     half ``j_1 >= 0`` of the autocorrelation is ever computed; the full
     table is not built.
+
+    Raises
+    ------
+    ShapeMismatch
+        If ``counts`` is not shaped like the grid.
     """
 
     grid: GridSpec
     counts: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.counts)
+        if shape != self.grid.shape:
+            raise ShapeMismatch(f"counts of shape {shape} on a {self.grid.shape} grid")
 
     @cached_property
     def n(self):

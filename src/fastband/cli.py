@@ -22,6 +22,7 @@ from .errors import (
     TooFewPoints,
     UnknownModel,
 )
+from .fftconv import DEFAULT_TAU
 from .functionals import PSI_MODES, q_r_binned, q_r_exact
 from .linalg import BandwidthMatrix
 from .mixtures import exact_ise, load_mixture, mixture_catalog, sample_mixture
@@ -443,7 +444,7 @@ def cmd_density(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--tau", type=float, default=3.7,
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
                    help="kernel truncation radius in std deviations")
     p.add_argument("--out", default=None, help="write output to this file")
 
@@ -461,12 +462,13 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config = SelectorConfig()
 
     p = sub.add_parser("select", help="select a bandwidth matrix for a CSV sample")
     p.add_argument("data", help="CSV file, one observation per row")
-    p.add_argument("--mode", default="fft-L", choices=SELECTOR_MODES)
-    p.add_argument("--grid", type=int, default=150, help="grid nodes per axis")
-    p.add_argument("--margin", type=float, default=0.05)
+    p.add_argument("--mode", default=config.mode, choices=SELECTOR_MODES)
+    p.add_argument("--grid", type=int, default=config.grid_size, help="grid nodes per axis")
+    p.add_argument("--margin", type=float, default=config.margin_fraction)
     p.add_argument("--constraint", default="full", choices=("full", "diagonal"))
     p.add_argument("--r", type=int, default=0, help="derivative order of the target")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
@@ -480,7 +482,7 @@ def build_parser():
     p.add_argument("--n", default="256", help="comma-separated sample sizes")
     p.add_argument("--grids", default="20,150", help="comma-separated grid sizes")
     p.add_argument("--reps", type=int, default=30)
-    p.add_argument("--mode", default="fft-L", choices=SELECTOR_MODES)
+    p.add_argument("--mode", default=config.mode, choices=SELECTOR_MODES)
     p.add_argument("--threshold", type=float, default=1.0,
                    help="ISE above this counts as a failure")
     _add_study(p)

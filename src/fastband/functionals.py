@@ -408,8 +408,7 @@ class _PairScorer:
     streamed per evaluation.  With ``binned``, ``"direct-exact"`` is
     refused as an unknown mode, as the binned wrappers refuse it.
 
-    ``scorer.pair_sum(bw)``, for a ``BandwidthMatrix`` or the
-    per-evaluation factors of ``SpdParam.bandwidth``, is
+    ``scorer.pair_sum(bw)``, for a ``BandwidthMatrix`` ``bw``, is
     ``n^-2 sum_i sum_j k(X_i - X_j)``, exact or binned by the mode, and
     with the CV kernel ``scorer(bw)`` is the LSCV objective
 

@@ -220,60 +220,7 @@ def kron_power(v, r):
 # bandwidth matrix wrapper
 # ---------------------------------------------------------------------------
 
-class _Factors:
-    """A bandwidth matrix given as rows of Python floats, with cached factors.
-
-    Everything a ``BandwidthMatrix`` holds, from one :func:`_factor_rows`
-    of ``rows``: the rows of the whitening factor ``W = inv(L^T)`` and the
-    determinant are computed here; ``h``, ``chol``, ``whiten``, ``inv``,
-    ``lambda_max`` and ``eig`` on first read.  The rows must already be
-    symmetric and finite.  ``BandwidthMatrix`` is the validating
-    constructor from an array; :meth:`SpdParam.bandwidth`, the
-    selector's per-step decode, builds one of these straight from the
-    rows of ``L L^T``, which are symmetric by construction, with no array
-    made.
-
-    Raises
-    ------
-    NotPositiveDefinite, SingularBandwidth
-        As :func:`_factor_rows`.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.d = len(rows)
-        self._chol_rows, self.whiten_rows, self.det = _factor_rows(rows)
-
-    @cached_property
-    def h(self):
-        return np.array(self.rows)
-
-    @cached_property
-    def chol(self):
-        return np.array([row + [0.0] * (self.d - len(row)) for row in self._chol_rows])
-
-    @cached_property
-    def whiten(self):
-        return np.array(self.whiten_rows)
-
-    @cached_property
-    def inv(self):
-        return np.linalg.inv(self.h)
-
-    @cached_property
-    def lambda_max(self):
-        return _largest_eigenvalue_rows(self.rows)
-
-    @cached_property
-    def eig(self):
-        vecs, theta, _ = np.linalg.svd(self.whiten)
-        return theta ** -2.0, vecs
-
-    def __repr__(self):
-        return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
-
-
-class BandwidthMatrix(_Factors):
+class BandwidthMatrix:
     """A symmetric positive definite bandwidth matrix with cached factors.
 
     The constructor validates the matrix in one pass (one conversion and
@@ -288,14 +235,12 @@ class BandwidthMatrix(_Factors):
     ``lambda_max``, so an order-0 exact evaluation computes none.  The
     factors agree with LAPACK's ``cholesky(h)`` and ``inv(L^T)`` to
     rounding, and a rounding margin keeps every accepted ``h`` one that
-    LAPACK accepts too.  :meth:`SpdParam.bandwidth` runs the same
-    finiteness check and the same factorization on the rows of a decoded
-    ``h``, which are symmetric by construction, so it accepts the same
-    ``h`` with the same bits and the same exception types; every
-    function that takes a ``BandwidthMatrix`` takes its result too
-    (:func:`as_bandwidth`).  No matrix is made for a multiple of ``h``:
-    the kernels of ``2H`` follow from this one's factors by Gaussian
-    homogeneity (see :func:`~fastband.functionals._cv_axes`).
+    LAPACK accepts too; mixture covariances must pass the same test.
+    :meth:`SpdParam.bandwidth` builds one from a decoded ``h`` without
+    this constructor, with the same checks and bits.  No matrix is made
+    for a multiple of ``h``: the kernels of ``2H`` follow from this
+    one's factors by Gaussian homogeneity (see
+    :func:`~fastband.functionals._cv_axes`).
 
     Parameters
     ----------
@@ -306,6 +251,8 @@ class BandwidthMatrix(_Factors):
     ----------
     h : (d, d) ndarray
         The matrix itself (a defensive copy).
+    rows : list of list of float
+        The matrix as rows of Python floats.
     d : int
         Dimension.
     chol : (d, d) ndarray
@@ -336,12 +283,51 @@ class BandwidthMatrix(_Factors):
 
     def __init__(self, h):
         self.h = _as_square(np.array(h, dtype=float))
-        super().__init__(_symmetric_rows(self.h))
+        self.rows = _symmetric_rows(self.h)
+        self.d = len(self.rows)
+        self._chol_rows, self.whiten_rows, self.det = _factor_rows(self.rows)
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """The matrix of exactly symmetric ``rows``, checked and factored as by ``__init__``."""
+        bw = object.__new__(cls)
+        bw.rows, bw.d = _finite_rows(rows), len(rows)
+        bw._chol_rows, bw.whiten_rows, bw.det = _factor_rows(rows)
+        return bw
+
+    @cached_property
+    def h(self):
+        """The matrix; ``__init__`` sets it, ``_from_rows`` leaves it to first read."""
+        return np.array(self.rows)
+
+    @cached_property
+    def chol(self):
+        return np.array([row + [0.0] * (self.d - len(row)) for row in self._chol_rows])
+
+    @cached_property
+    def whiten(self):
+        return np.array(self.whiten_rows)
+
+    @cached_property
+    def inv(self):
+        return np.linalg.inv(self.h)
+
+    @cached_property
+    def lambda_max(self):
+        return _largest_eigenvalue_rows(self.rows)
+
+    @cached_property
+    def eig(self):
+        vecs, theta, _ = np.linalg.svd(self.whiten)
+        return theta ** -2.0, vecs
+
+    def __repr__(self):
+        return f"BandwidthMatrix(d={self.d}, det={self.det:.6g})"
 
 
 def as_bandwidth(h):
-    """Return ``h`` if it is a BandwidthMatrix or ``SpdParam.bandwidth``'s factors, else validate it into one."""
-    return h if isinstance(h, _Factors) else BandwidthMatrix(h)
+    """Return ``h`` if it is a BandwidthMatrix, else validate it into one."""
+    return h if isinstance(h, BandwidthMatrix) else BandwidthMatrix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +388,15 @@ class SpdParam:
         return np.array(self._rows(theta))
 
     def bandwidth(self, theta):
-        """The bandwidth ``decode(theta)``, factored from its rows with no array made.
+        """``BandwidthMatrix(decode(theta))``, built from the rows of ``h`` with no array made.
 
         The selector's decode at every step.  ``_rows`` mirrors every
         entry, so the rows are exactly symmetric and the constructor's
         symmetry test could only fail on a NaN, which the finiteness test
-        refuses with the same type.  The rows then go through the
-        constructor's :func:`_factor_rows`, so this accepts and rejects
-        exactly the ``h`` that ``BandwidthMatrix(decode(theta))`` does,
-        with the same bits and the same exception types, and the result
-        has every attribute of that ``BandwidthMatrix`` (``h`` on first
-        read).  ``chol`` is the Cholesky factor of the rounded ``h``, not
+        refuses with the same type; the rows then go through the
+        constructor's :func:`_factor_rows`, so this accepts exactly the
+        ``h`` the constructor does, with the same bits and exception
+        types.  ``chol`` is the Cholesky factor of the rounded ``h``, not
         the ``L`` that ``theta`` holds.
 
         Raises
@@ -423,7 +407,7 @@ class SpdParam:
         SingularBandwidth
             If the determinant, less that margin, is not usable.
         """
-        return _Factors(_finite_rows(self._rows(theta)))
+        return BandwidthMatrix._from_rows(self._rows(theta))
 
     def _rows(self, theta):
         """``H = L L^T`` of ``theta`` as rows of Python floats, see :meth:`decode`."""

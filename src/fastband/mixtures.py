@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, OutOfRange, ParseError, ShapeMismatch, UnknownModel
+from .errors import FastbandError, OutOfRange, ParseError, ShapeMismatch, UnknownModel
 from .binning import _as_sample, _is_int
 from .functionals import q_r_exact
 from .gaussian import _as_points, normal_pdf
-from .linalg import as_bandwidth, cholesky
+from .linalg import BandwidthMatrix, as_bandwidth, cholesky
 
 __all__ = [
     "NormalMixture",
@@ -37,7 +37,8 @@ class NormalMixture:
     means : (q, d) ndarray
         Component means, finite.
     covs : (q, d, d) ndarray
-        Component covariances, each symmetric positive definite.
+        Component covariances, each one that ``BandwidthMatrix`` accepts;
+        one it refuses raises its error here.
     """
 
     weights: np.ndarray
@@ -61,7 +62,7 @@ class NormalMixture:
         if abs(w.sum() - 1.0) > 1e-12:
             raise OutOfRange(f"weights sum to {w.sum()}, expected 1")
         for sig in cv:
-            cholesky(sig)
+            BandwidthMatrix(sig)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covs", cv)
@@ -282,8 +283,7 @@ def load_mixture(path):
     ------
     ParseError
         If the file is not valid JSON, lacks the required fields, or
-        holds a mixture that is invalid, a covariance that is not
-        positive definite among them.
+        holds a mixture that :class:`NormalMixture` refuses.
     """
     try:
         with open(path) as fh:
@@ -300,5 +300,5 @@ def load_mixture(path):
         ) from exc
     try:
         return NormalMixture(weights, means, covs)
-    except (NotPositiveDefinite, OutOfRange, ShapeMismatch, ValueError) as exc:
+    except (FastbandError, ValueError) as exc:
         raise ParseError(f"mixture file {path} is invalid: {exc}") from exc

@@ -144,8 +144,8 @@ class SelectionResult:
         Selected bandwidth matrix: ``SpdParam.decode(theta)``, the ``h``
         that the objective evaluated at ``theta``.
     objective : float
-        Objective value at ``h``, as the selector evaluated it, from the
-        factors of ``SpdParam.bandwidth``.  It equals
+        Objective value at ``h``, as the selector evaluated it, on
+        ``SpdParam.bandwidth(theta)``.  It equals
         ``lscv_objective(data, h)`` bit for bit: ``BandwidthMatrix(h)``
         is factored the same way, and both are scored by the same code.
     iterations : int
@@ -176,10 +176,10 @@ class SelectionResult:
         and ``"fft-L"``, the pair table for ``"direct-exact"`` (about 0
         for ``"direct-binned"``, which sums the counts directly).
     decode_ms : float
-        Time spent mapping the simplex's coordinates to the factors of
+        Time spent mapping the simplex's coordinates to a factored
         ``H``, summed over evaluations, in milliseconds.
     score_ms : float
-        Time spent scoring those factors (kernel tabulation and pair
+        Time spent scoring that ``H`` (kernel tabulation and pair
         sum), summed over evaluations, in milliseconds.  The simplex's
         own bookkeeping is outside all four times.
     kernel_points : int
@@ -459,13 +459,14 @@ def select_bandwidth(x, config=None):
     and one scorer is prepared per sample
     (:class:`~fastband.functionals._PairScorer`): the FFT modes fold the
     count autocorrelation once, and ``"direct-exact"`` builds the
-    sample's ``PairDifferences``.  Each evaluation then factors ``H``
-    straight from the coordinates, in Python floats with no array made
-    (``SpdParam.bandwidth``, which accepts exactly the matrices that
-    ``BandwidthMatrix(h)`` accepts), and scores it: a tabulation of the
-    kernel's slab ``j_1 >= 0`` and one sum over it (see
-    :func:`~fastband.functionals.psi_binned`), or a sum over the
-    ``n (n - 1) / 2`` pairs.  The result carries the time of each phase.
+    sample's ``PairDifferences``.  Each evaluation then builds the
+    ``BandwidthMatrix`` of ``H`` straight from the coordinates, in
+    Python floats with no array made (``SpdParam.bandwidth``, which
+    accepts exactly the matrices that the constructor accepts), and
+    scores it: a tabulation of the kernel's slab ``j_1 >= 0`` and one
+    sum over it (see :func:`~fastband.functionals.psi_binned`), or a sum
+    over the ``n (n - 1) / 2`` pairs.  The result carries the time of
+    each phase.
 
     Parameters
     ----------
@@ -523,9 +524,9 @@ def select_bandwidth(x, config=None):
         t0 = time.perf_counter_ns()
         t1 = None
         try:
-            factors = param.bandwidth(theta)
+            bw = param.bandwidth(theta)
             t1 = time.perf_counter_ns()
-            value = scorer(factors)
+            value = scorer(bw)
         except _REJECTED as exc:
             value, kind = math.inf, type(exc).__name__
         else:

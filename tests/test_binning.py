@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 import fastband.binning
 from fastband import (
     DegenerateAxis,
+    GridCounts,
     GridSpec,
     OutOfRange,
     ShapeMismatch,
     autocorrelate,
     grid_points,
+    kde_on_grid,
     linear_binning,
+    lscv_objective,
     make_grid,
     psi_binned,
 )
@@ -87,6 +90,21 @@ def test_grid_spec_validation():
                    ([0.0, np.nan], [1.0, 1.0])):
         with pytest.raises(OutOfRange):
             GridSpec(lo=lo, hi=hi, shape=(5, 5))
+
+
+def test_grid_counts_must_fit_the_grid(rng):
+    # Counts that do not fit the grid would reach the scorers, which
+    # raised a raw broadcast error or, in kde_on_grid, returned a density
+    # of the counts' shape.
+    grid = make_grid(rng.standard_normal((40, 2)), (10, 10))
+    for bad in (np.ones((7, 9)), np.ones(100), np.ones((10, 10, 1))):
+        for call in (lambda: GridCounts(grid, bad),
+                     lambda: psi_binned(GridCounts(grid, bad), np.eye(2)),
+                     lambda: lscv_objective(GridCounts(grid, bad), np.eye(2)),
+                     lambda: kde_on_grid(GridCounts(grid, bad), np.eye(2))):
+            with pytest.raises(ShapeMismatch):
+                call()
+    assert GridCounts(grid, np.ones((10, 10))).n == 100.0
 
 
 @pytest.mark.parametrize("shape", [(9.7,), (9.0,), (True,), (np.float64(9.0),), 9.7])

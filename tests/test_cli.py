@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fastband import mixture_catalog, sample_mixture
-from fastband.cli import RunReport, main, read_csv
+from fastband import SelectorConfig, mixture_catalog, sample_mixture
+from fastband.cli import RunReport, build_parser, main, read_csv
 from fastband.errors import ParseError
 
 
@@ -94,6 +94,17 @@ def test_select_reports_spd_bandwidth(capsys, sample_csv):
     assert np.all(np.linalg.eigvalsh(h) > 0)
     assert report["timings"]["objective_evals"] > 0
     assert report["timings"]["total_ms"] > 0
+
+
+def test_select_defaults_are_the_selector_configs():
+    # The CLI reads its selector defaults from SelectorConfig, so a new
+    # default there reaches `fastband select` unchanged.
+    args = build_parser().parse_args(["select", "data.csv"])
+    config = SelectorConfig()
+    assert (args.mode, args.grid, args.margin, args.tau, args.r) == (
+        config.mode, config.grid_size, config.margin_fraction, config.tau, config.r)
+    assert (args.constraint == "diagonal") == config.diagonal
+    assert build_parser().parse_args(["ise-study"]).mode == config.mode
 
 
 def test_select_bins_once_and_reports_that_binning(capsys, sample_csv, monkeypatch):
@@ -199,13 +210,18 @@ def test_ise_study_unknown_model_exits_2(capsys):
 
 
 def test_ise_study_model_file_not_positive_definite_exits_2(capsys, tmp_path):
+    # Indefinite, then two covariances that LAPACK's Cholesky accepts but
+    # the bandwidth rule refuses: within its rounding margin of singular,
+    # and with a determinant below the floor.
     path = tmp_path / "mixture.json"
-    path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]],
-                                "covs": [[[1.0, 2.0], [2.0, 1.0]]]}))
-    code, _, err = run_cli(capsys, "ise-study", "--model-file", str(path), "--n", "50",
-                           "--grids", "10", "--reps", "1")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ParseError"
+    for cov in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]],
+                [[1e-200, 0.0], [0.0, 1e-200]]):
+        path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]],
+                                    "covs": [cov]}))
+        code, _, err = run_cli(capsys, "ise-study", "--model-file", str(path), "--n", "50",
+                               "--grids", "10", "--reps", "1")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "ParseError"
 
 
 # ---------------------------------------------------------------------------

@@ -518,10 +518,16 @@ def test_factor_path_agrees_with_lapack(d, data):
         bw = p.bandwidth(theta)
     except (NotPositiveDefinite, SingularBandwidth):
         return
+    assert isinstance(bw, BandwidthMatrix)
+    for name in ("inv", "lambda_max", "eig"):
+        assert name not in vars(bw)
     public = BandwidthMatrix(p.decode(theta))
     for name in ("h", "chol", "whiten"):
         assert getattr(bw, name).tobytes() == getattr(public, name).tobytes(), name
-    assert bw.det == public.det
+    assert bw.whiten_rows == public.whiten_rows
+    assert bw.det == public.det and bw.lambda_max == public.lambda_max
+    for got, want in zip(bw.eig, public.eig):
+        assert got.tobytes() == want.tobytes()
     chol = np.linalg.cholesky(bw.h)
     whiten = np.linalg.inv(chol.T)
     tol = max(1e-12, 4.0 * _EPS * np.linalg.cond(bw.h))
@@ -531,8 +537,6 @@ def test_factor_path_agrees_with_lapack(d, data):
     assert np.array_equal(bw.h, p.decode(theta)) and bw.d == d
     assert np.array_equal(bw.chol, np.tril(bw.chol))
     assert np.array_equal(bw.whiten, np.triu(bw.whiten))
-    for name in ("inv", "lambda_max", "eig"):
-        assert name not in vars(bw)
 
 
 @pytest.mark.parametrize("bad", [1e300, -1e300, np.nan, np.inf, -np.inf])

@@ -12,8 +12,10 @@ from fastband.cli import main
 from fastband import (
     BandwidthMatrix,
     NormalMixture,
+    NotPositiveDefinite,
     OutOfRange,
     ParseError,
+    SingularBandwidth,
     UnknownModel,
     catalog_names,
     exact_ise,
@@ -190,6 +192,24 @@ def test_exact_ise_improves_with_sensible_bandwidth(rng):
         good.append(exact_ise(x, h, mix))
         bad.append(exact_ise(x, 0.1 * h, mix))
     assert np.median(good) < np.median(bad)
+
+
+@pytest.mark.parametrize("cov, error", [
+    ([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]], NotPositiveDefinite),
+    ([[1e-200, 0.0], [0.0, 1e-200]], SingularBandwidth),
+])
+def test_mixture_covariances_pass_the_bandwidth_rule(tmp_path, cov, error):
+    # LAPACK's Cholesky accepts both, but BandwidthMatrix, which every
+    # density and ISE on the mixture factors them with, refuses them: the
+    # first is within its rounding margin of singular, the second has a
+    # determinant below its floor.  So the mixture refuses them when built.
+    assert np.all(np.isfinite(np.linalg.cholesky(np.array(cov))))
+    with pytest.raises(error):
+        NormalMixture([1.0], [[0.0, 0.0]], [cov])
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps({"weights": [1.0], "means": [[0.0, 0.0]], "covs": [cov]}))
+    with pytest.raises(ParseError):
+        load_mixture(path)
 
 
 # ---------------------------------------------------------------------------
