@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tour of the fastband command line interface.
 #
-# Every subcommand emits a JSON run report to stdout or to --out; the
-# sampling subcommands (ise-study, bench, qr-bench) take --seed.  Exit
-# codes: 0 success, 2 input error, 3 numerical failure.
+# select and ise-study emit a JSON run report to stdout or to --out,
+# timed by the phase fields of the selections they made; ise-study takes
+# --seed.  density dumps the estimate as CSV.  Exit codes: 0 success,
+# 2 input error, 3 numerical failure.
 set -e
 
 workdir=$(mktemp -d)
@@ -32,12 +33,16 @@ echo "== ise-study: selection quality across grid resolutions =="
 fastband ise-study --model bimodal --n 128 --grids 20,80 --reps 3 --seed 5
 
 echo
-echo "== bench: objective evaluation timings =="
-fastband bench --n 500,1000 --modes fft-L --grid 128 --reps 2 --seed 7
-
-echo
-echo "== qr-bench: FFT vs exact pairwise functionals =="
-fastband qr-bench --n 300 --r 2 --grid 100 --reps 2 --seed 9
+echo "== select: where the time went, from the report's phase timings =="
+fastband select "$workdir/sample.csv" --r 2 --grid 60 --out "$workdir/timed.json"
+python3 - "$workdir/timed.json" <<'EOF'
+import json, sys
+t = json.load(open(sys.argv[1]))["timings"]
+for key in ("dedup_ms", "binning_ms", "precompute_ms", "decode_ms", "score_ms", "total_ms"):
+    print(f"{key:>14}: {t[key]:8.2f}")
+per_eval = (t["decode_ms"] + t["score_ms"]) / t["objective_evals"]
+print(f"{t['objective_evals']} evaluations at r = 2, {per_eval:.3f} ms each")
+EOF
 
 echo
 echo "== density: dump the estimate on a grid as CSV =="

@@ -1,4 +1,8 @@
-"""Command line front end: selection, ISE studies, benchmarks, density dumps."""
+"""Command line front end: selection, ISE studies, density dumps.
+
+The reports time only what the selections themselves timed: the phase
+fields of each ``SelectionResult`` a command made, summed.
+"""
 
 import argparse
 import json
@@ -23,17 +27,10 @@ from .errors import (
     UnknownModel,
 )
 from .fftconv import DEFAULT_TAU
-from .functionals import PSI_MODES, q_r_binned, q_r_exact
+from .functionals import PSI_MODES
 from .linalg import BandwidthMatrix
 from .mixtures import exact_ise, load_mixture, mixture_catalog, sample_mixture
-from .selector import (
-    SELECTOR_MODES,
-    SelectorConfig,
-    kde_on_grid,
-    lscv_objective,
-    normal_scale_start,
-    select_bandwidth,
-)
+from .selector import SELECTOR_MODES, SelectorConfig, kde_on_grid, select_bandwidth
 
 __all__ = ["RunReport", "main"]
 
@@ -49,9 +46,8 @@ _INPUT_ERRORS = (
     DegenerateAxis,
 )
 
-# Bandwidth sweep evaluated per benchmark run: geometric factors applied
-# to the normal-scale bandwidth, so every mode does identical work.
-_BENCH_FACTORS = np.geomspace(0.5, 2.0, 10)
+# The SelectionResult phase fields that a report sums into its timings.
+_PHASES = ("dedup_ms", "binning_ms", "precompute_ms", "decode_ms", "score_ms")
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +105,27 @@ class RunReport:
             raise ParseError(f"not a valid run report: {exc}") from exc
 
 
-def _make_report(command, args, results, binning_ms=0.0, objective_evals=0,
-                 total_ms=0.0):
+def _make_report(command, args, results, selections, total_ms):
+    """The report of one command, timed by the selections it made.
+
+    ``timings`` holds each phase field of :data:`_PHASES` and the
+    evaluation count (``objective_evals``, from ``n_evals``) summed over
+    the ``SelectionResult`` list ``selections``, and the command's wall
+    time ``total_ms``.
+    """
     config = {
         k: _jsonable(v)
         for k, v in vars(args).items()
         if k not in ("func", "out") and not k.startswith("_")
     }
+    timings = {k: float(sum(getattr(s, k) for s in selections)) for k in _PHASES}
+    timings["objective_evals"] = int(sum(s.n_evals for s in selections))
+    timings["total_ms"] = float(total_ms)
     return RunReport(
         command=command,
         config=config,
         results=_jsonable(results),
-        timings={
-            "binning_ms": float(binning_ms),
-            "objective_evals": int(objective_evals),
-            "total_ms": float(total_ms),
-        },
+        timings=timings,
         environment={"seed": getattr(args, "seed", None), "version": __version__},
     )
 
@@ -219,22 +220,18 @@ def cmd_select(args):
         "n_used": res.n_used,
         "mode": res.mode,
     }
-    return _make_report(
-        "select", args, results,
-        binning_ms=res.binning_ms, objective_evals=res.n_evals, total_ms=total_ms,
-    )
+    return _make_report("select", args, results, [res], total_ms)
 
 
 def _ise_cell(mix, n, grid_size, reps, seed, mode, tau, threshold):
-    """Run one (n, grid) cell of the ISE study."""
+    """Run one (n, grid) cell of the ISE study; the cell and its selections."""
     cfg = SelectorConfig(mode=mode, grid_size=grid_size, tau=tau)
-    ises = []
-    evals = 0
+    ises, selections = [], []
     for rep in range(reps):
         rng = np.random.default_rng([seed, n, rep])
         x = sample_mixture(mix, n, rng)
         res = select_bandwidth(x, cfg)
-        evals += res.n_evals
+        selections.append(res)
         ises.append(exact_ise(x, BandwidthMatrix(res.h), mix))
     ises = np.array(ises)
     return {
@@ -243,7 +240,7 @@ def _ise_cell(mix, n, grid_size, reps, seed, mode, tau, threshold):
         "ise": ises,
         "median_ise": float(np.median(ises)),
         "failures": int(np.sum(ises > threshold)),
-    }, evals
+    }, selections
 
 
 def cmd_ise_study(args):
@@ -269,121 +266,9 @@ def cmd_ise_study(args):
         "threshold": args.threshold,
         "cells": [cell for cell, _ in outcomes],
     }
-    evals = sum(e for _, e in outcomes)
+    selections = [res for _, made in outcomes for res in made]
     total_ms = (time.perf_counter() - t_start) * 1000.0
-    return _make_report(
-        "ise-study", args, results, objective_evals=evals, total_ms=total_ms
-    )
-
-
-def _bench_objective_run(x, mode, grid_size, tau):
-    """One benchmark unit: bin the sample, then sweep the objective."""
-    h0 = normal_scale_start(x)
-    binning_ms = 0.0
-    data = x
-    if mode != "direct-exact":
-        t0 = time.perf_counter()
-        grid = make_grid(x, (grid_size,) * x.shape[1])
-        data = linear_binning(x, grid)
-        binning_ms = (time.perf_counter() - t0) * 1000.0
-    for factor in _BENCH_FACTORS:
-        lscv_objective(data, factor * h0, mode=mode, tau=tau)
-    return binning_ms
-
-
-def cmd_bench(args):
-    """Time the objective evaluation pipeline across modes, n, and grids.
-
-    Each run bins the sample (timed separately) and then evaluates the
-    selection objective at a fixed geometric sweep of ten bandwidths, so
-    all modes and sizes perform the same amount of statistical work.
-    Mean wall time over ``reps`` runs is reported after one discarded
-    warmup, on a monotonic clock.
-    """
-    t_start = time.perf_counter()
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for m in modes:
-        if m not in SELECTOR_MODES:
-            raise OutOfRange(f"unknown mode {m!r}; expected one of {SELECTOR_MODES}")
-    if args.reps < 1:
-        raise OutOfRange("reps must be at least 1")
-
-    def run(mode, n, g):
-        rng = np.random.default_rng([args.seed, n])
-        x = rng.standard_normal((n, args.dim))
-        _bench_objective_run(x, mode, g, args.tau)
-        times, btimes = [], []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            btimes.append(_bench_objective_run(x, mode, g, args.tau))
-            times.append((time.perf_counter() - t0) * 1000.0)
-        return {
-            "mode": mode,
-            "n": n,
-            "grid": g,
-            "mean_ms": float(np.mean(times)),
-            "binning_ms": float(np.mean(btimes)),
-            "evals_per_run": len(_BENCH_FACTORS),
-        }
-
-    results = {"cells": [
-        run(mode, n, g)
-        for mode in modes
-        for n in _int_list(args.n)
-        for g in _int_list(args.grids)
-    ]}
-    total_ms = (time.perf_counter() - t_start) * 1000.0
-    return _make_report("bench", args, results, total_ms=total_ms)
-
-
-def cmd_qr_bench(args):
-    """Compare FFT-binned and exact pairwise Q_r in value and speed."""
-    t_start = time.perf_counter()
-    r_list = _int_list(args.r)
-    for r in r_list:
-        if r % 2 != 0 or r < 0 or r > 8:
-            raise OutOfRange(f"r must be even and in [0, 8], got {r}")
-    if args.reps < 1:
-        raise OutOfRange("reps must be at least 1")
-
-    def run(n, r):
-        rng = np.random.default_rng([args.seed, n])
-        x = rng.standard_normal((n, args.dim))
-        sigma = BandwidthMatrix(normal_scale_start(x))
-        grid = make_grid(x, (args.grid,) * args.dim)
-        gc = linear_binning(x, grid)
-
-        q_fft = q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau)
-        q_direct = q_r_exact(x, sigma, r)
-
-        def time_one(func):
-            func()
-            ts = []
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                func()
-                ts.append((time.perf_counter() - t0) * 1000.0)
-            return float(np.mean(ts))
-
-        fft_ms = time_one(lambda: q_r_binned(gc, sigma, r, mode="fft-L", tau=args.tau))
-        direct_ms = time_one(lambda: q_r_exact(x, sigma, r))
-        denom = max(abs(q_direct), 1e-300)
-        return {
-            "n": n,
-            "r": r,
-            "q_fft": q_fft,
-            "q_direct": q_direct,
-            "rel_diff": abs(q_fft - q_direct) / denom,
-            "fft_ms": fft_ms,
-            "direct_ms": direct_ms,
-        }
-
-    results = {
-        "grid": args.grid,
-        "cells": [run(n, r) for n in _int_list(args.n) for r in r_list],
-    }
-    total_ms = (time.perf_counter() - t_start) * 1000.0
-    return _make_report("qr-bench", args, results, total_ms=total_ms)
+    return _make_report("ise-study", args, results, selections, total_ms)
 
 
 def _density_grid(x, h, size, margin, tau):
@@ -405,11 +290,9 @@ def _density_grid(x, h, size, margin, tau):
 def cmd_density(args):
     """Evaluate the KDE on a grid and dump coordinates plus values as CSV."""
     x = read_csv(args.data, header=args.header)
-    evals = 0
     if args.select:
         cfg = SelectorConfig(mode=args.mode, grid_size=args.grid, tau=args.tau)
-        res = select_bandwidth(x, cfg)
-        h, evals = BandwidthMatrix(res.h), res.n_evals
+        h = BandwidthMatrix(select_bandwidth(x, cfg).h)
     elif args.bandwidth:
         h = BandwidthMatrix(_parse_matrix(args.bandwidth))
     else:
@@ -449,12 +332,6 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="write output to this file")
 
 
-def _add_study(p):
-    """Options of the subcommands that draw samples and run cells."""
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fastband",
@@ -485,26 +362,9 @@ def build_parser():
     p.add_argument("--mode", default=config.mode, choices=SELECTOR_MODES)
     p.add_argument("--threshold", type=float, default=1.0,
                    help="ISE above this counts as a failure")
-    _add_study(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _add_common(p)
     p.set_defaults(func=cmd_ise_study)
-
-    p = sub.add_parser("bench", help="time the objective pipeline per mode")
-    p.add_argument("--n", default="400,4000")
-    p.add_argument("--grids", default="180")
-    p.add_argument("--modes", default="fft-L,fft-M")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--dim", type=int, default=2)
-    _add_study(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("qr-bench", help="compare FFT and exact Q_r statistics")
-    p.add_argument("--n", default="1000")
-    p.add_argument("--r", default="0,2")
-    p.add_argument("--grid", type=int, default=100)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--dim", type=int, default=2)
-    _add_study(p)
-    p.set_defaults(func=cmd_qr_bench)
 
     p = sub.add_parser("density", help="dump the KDE on a grid as CSV")
     p.add_argument("data", help="CSV file, one observation per row")

@@ -45,6 +45,18 @@ PSI_MODES = ("direct-binned", "fft-M", "fft-L")
 _PAIR_BUDGET = 1 << 14
 
 
+def _scoring():
+    """The floating-point state that every pair sum is scored under.
+
+    An overflowing quadratic form gives the kernel's limit, 0.  Far out,
+    an order ``r > 0`` kernel meets a density that underflowed to 0
+    times a Hermite sum that overflowed to inf, then ``inf - inf``
+    between the CV kernel's two terms: the score comes out non-finite,
+    and the selector rejects it as ``"non-finite"``, with no warning.
+    """
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -418,9 +430,8 @@ class _PairScorer:
     Neither checks anything further but the bandwidth's dimension, and
     neither reads the mode string.  Binned evaluations tabulate only the
     kernel's slab ``j_1 >= 0`` (:func:`_slab`), and ``kernel_points``
-    counts the entries tabulated; it stays 0 in ``"direct-exact"``.  An
-    overflowing quadratic form gives the kernel's limit, 0, so the
-    callers evaluate under ``np.errstate(over="ignore")``.
+    counts the entries tabulated; it stays 0 in ``"direct-exact"``.  The
+    callers evaluate under :func:`_scoring`.
 
     Raises
     ------
@@ -559,7 +570,7 @@ def psi_binned(gc, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     -------
     float
     """
-    with np.errstate(over="ignore"):
+    with _scoring():
         return _PairScorer(gc, r, mode, tau, binned=True).pair_sum(as_bandwidth(h))
 
 
@@ -570,7 +581,7 @@ def q_r_binned(gc, sigma, r, mode="fft-L", tau=DEFAULT_TAU):
     whose ``"fft-L"`` box is sized from ``sigma`` itself (see
     :class:`_PairScorer`).
     """
-    with np.errstate(over="ignore"):
+    with _scoring():
         return _PairScorer(gc, r, mode, tau, _ETA, binned=True).pair_sum(as_bandwidth(sigma))
 
 
@@ -601,11 +612,11 @@ def psi_direct(x, h, r=0):
     -------
     float
     """
-    with np.errstate(over="ignore"):
+    with _scoring():
         return _PairScorer(x, r, "direct-exact").pair_sum(as_bandwidth(h))
 
 
 def q_r_exact(x, sigma, r):
     """Exact pairwise V-statistic of ``eta_r``; ``x`` as in :func:`psi_direct`."""
-    with np.errstate(over="ignore"):
+    with _scoring():
         return _PairScorer(x, r, "direct-exact", kernel=_ETA).pair_sum(as_bandwidth(sigma))

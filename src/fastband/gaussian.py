@@ -260,7 +260,10 @@ def _eta_axes(terms, bw, r, out=None):
     eigendecomposition.  ``out``, shaped as the result, receives it.
     ``r`` is an int checked by :func:`_functional_order`.  An
     overflowing quadratic form gives the density's limit, 0, so the
-    callers evaluate under ``np.errstate(over="ignore")``.
+    callers evaluate under ``np.errstate(over="ignore")``; where the
+    Hermite sum overflows too, the product is ``0 * inf``, NaN, which
+    the pair sums let through to the selector's rejection (see
+    :func:`~fastband.functionals._scoring`).
     """
     if r == 0:
         return _density_of_q(_whitened_sq_axes(terms, bw, out=out), bw)

@@ -26,6 +26,7 @@ from .functionals import (
     PairDifferences,
     _binned_mode,
     _PairScorer,
+    _scoring,
     eta_kernel_grid,
     psi_binned,
     psi_direct,
@@ -331,7 +332,7 @@ def lscv_objective(data, h, r=0, mode="fft-L", tau=DEFAULT_TAU):
     -------
     float
     """
-    with np.errstate(over="ignore"):
+    with _scoring():
         return _PairScorer(data, r, mode, tau)(as_bandwidth(h))
 
 
@@ -539,8 +540,7 @@ def select_bandwidth(x, config=None):
             rejections[kind] += 1
         return value
 
-    # An overflowing quadratic form gives the kernel's limit, 0.
-    with np.errstate(over="ignore"):
+    with _scoring():
         sim = nelder_mead(objective, theta0, max_iter=cfg.max_iter)
     return SelectionResult(
         h=param.decode(sim.theta),

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fastband import SelectorConfig, mixture_catalog, sample_mixture
+from fastband import SelectorConfig, mixture_catalog, sample_mixture, select_bandwidth
 from fastband.cli import RunReport, build_parser, main, read_csv
 from fastband.errors import ParseError
 
@@ -23,6 +26,9 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_PHASES = ("dedup_ms", "binning_ms", "precompute_ms", "decode_ms", "score_ms")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +132,17 @@ def test_select_bins_once_and_reports_that_binning(capsys, sample_csv, monkeypat
     assert json.loads(out)["timings"]["binning_ms"] > 0
 
 
+def test_select_reports_its_selections_phase_timings(capsys, sample_csv):
+    code, out, _ = run_cli(capsys, "select", "--grid", "60", sample_csv)
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert set(timings) == {*_PHASES, "objective_evals", "total_ms"}
+    res = select_bandwidth(read_csv(sample_csv), SelectorConfig(grid_size=60))
+    assert timings["objective_evals"] == res.n_evals
+    assert all(timings[k] >= 0 for k in _PHASES)
+    assert sum(timings[k] for k in _PHASES) <= timings["total_ms"]
+
+
 def test_select_diagonal_constraint(capsys, sample_csv):
     code, out, _ = run_cli(
         capsys, "select", "--constraint", "diagonal", "--grid", "60", sample_csv
@@ -191,6 +208,29 @@ def test_ise_study_single_rep(capsys):
     assert cell["failures"] in (0, 1)
 
 
+def test_ise_study_times_every_selection_it_made(capsys, monkeypatch):
+    import fastband.cli
+
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(select_bandwidth(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(fastband.cli, "select_bandwidth", recording)
+    code, out, _ = run_cli(
+        capsys, "ise-study", "--model", "bimodal", "--n", "64", "--grids", "20,30",
+        "--reps", "2", "--seed", "3",
+    )
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert len(made) == 4
+    assert timings["objective_evals"] == sum(res.n_evals for res in made)
+    assert timings["binning_ms"] > 0
+    for k in _PHASES:
+        assert timings[k] == pytest.approx(sum(getattr(res, k) for res in made))
+
+
 def test_ise_study_deterministic_given_seed(capsys):
     args = (
         "ise-study", "--model", "bimodal", "--n", "64", "--grids", "30",
@@ -222,40 +262,6 @@ def test_ise_study_model_file_not_positive_definite_exits_2(capsys, tmp_path):
                                "--grids", "10", "--reps", "1")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "ParseError"
-
-
-# ---------------------------------------------------------------------------
-# bench and qr-bench
-# ---------------------------------------------------------------------------
-
-def test_bench_reports_cells(capsys):
-    code, out, _ = run_cli(
-        capsys, "bench", "--n", "200", "--grids", "40", "--modes", "fft-L,fft-M",
-        "--reps", "1",
-    )
-    assert code == 0
-    cells = json.loads(out)["results"]["cells"]
-    assert {c["mode"] for c in cells} == {"fft-L", "fft-M"}
-    for c in cells:
-        assert c["mean_ms"] > 0
-        assert c["binning_ms"] >= 0
-
-
-def test_qr_bench_value_agreement(capsys):
-    code, out, _ = run_cli(
-        capsys, "qr-bench", "--n", "100", "--r", "0", "--grid", "100", "--reps", "1",
-    )
-    assert code == 0
-    cell = json.loads(out)["results"]["cells"][0]
-    assert cell["rel_diff"] <= 1e-2
-    assert cell["fft_ms"] > 0
-    assert cell["direct_ms"] > 0
-
-
-def test_qr_bench_rejects_odd_r(capsys):
-    code, _, err = run_cli(capsys, "qr-bench", "--r", "3", "--reps", "1")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "OutOfRange"
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +357,22 @@ def test_density_bandwidth_of_another_dimension_exits_2(capsys, sample_csv, matr
     )
     assert code == 2
     assert json.loads(err)["error"]["type"] == "ShapeMismatch"
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+def test_readme_command_lines_parse():
+    # Every `fastband ...` line in the README's shell blocks parses with
+    # today's parser, so a removed subcommand or flag cannot linger there.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("fastband ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

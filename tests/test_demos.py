@@ -37,5 +37,6 @@ def test_cli_tour_runs(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
+    assert any(line.endswith("ms each") for line in lines)
     assert "missing file -> 2" in lines
     assert "indefinite bandwidth -> 3" in lines

@@ -665,6 +665,20 @@ def test_q_r_binned_tracks_exact(rng):
         assert qb == pytest.approx(qe, rel=2e-3)
 
 
+def test_overflowing_order_two_sums_are_nan_without_a_warning(rng):
+    # H = diag(1e-160, 1): across the thin axis the density underflows to
+    # 0 while the Hermite sum overflows to inf, so every pair sum is NaN,
+    # and no RuntimeWarning escapes (pytest turns one into an error).
+    x = rng.standard_normal((40, 2))
+    gc = linear_binning(x, make_grid(x, (10, 10)))
+    h = np.diag([1e-160, 1.0])
+    values = [lscv_objective(gc, h, r=2, mode="fft-M"),
+              lscv_objective(x, h, r=2, mode="direct-exact"),
+              psi_binned(gc, h, 2, mode="fft-M"), q_r_binned(gc, h, 2, mode="fft-M"),
+              psi_direct(x, h, 2), q_r_exact(x, h, 2)]
+    assert all(math.isnan(v) for v in values)
+
+
 def test_q_r_fft_modes_agree(rng):
     x = rng.standard_normal((90, 2))
     gc = linear_binning(x, make_grid(x, (40, 40)))
@@ -672,3 +686,62 @@ def test_q_r_fft_modes_agree(rng):
     a = q_r_binned(gc, sigma, 2, mode="fft-M")
     b = q_r_binned(gc, sigma, 2, mode="direct-binned")
     assert a == pytest.approx(b, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fft-L at r > 0
+# ---------------------------------------------------------------------------
+
+def _dropped_offsets(grid, h, factor, tau):
+    """Mask of the full-support offsets outside fft-L's box for ``factor * H``.
+
+    The documented rule ``L_k = max(1, min(M_k - 1, ceil(tau
+    sqrt(lambda_max(factor H)) / delta_k)))``, on the fft-M table's
+    offsets ``-(M_k - 1) .. M_k - 1``.
+    """
+    radius = tau * math.sqrt(factor * np.linalg.eigvalsh(h).max())
+    axes = []
+    for dk, mk in zip(grid.delta, grid.shape):
+        lk = max(1, min(mk - 1, math.ceil(radius / dk)))
+        axes.append(np.abs(np.arange(-(mk - 1), mk)) > lk)
+    return np.logical_or.outer(*axes)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_fft_l_at_positive_order_drops_exactly_a_bounded_tail(r):
+    # Criterion 2's first two checks at r > 0, for both binned pair sums:
+    # fft-L - fft-M is minus the dropped tail -n^-2 sum_{j not in B} k A
+    # to 1e-10 of |fft-M|, and within the a-priori bound
+    # (sum c^2 / n^2) sum_{j not in B} |k|, since 0 <= A(j) <= A(0).
+    # The gap's size is printed, not gated.
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(20261023 + r)
+    tau = 3.7
+    residuals, ratios, gaps = [], [], []
+    for i in range(5):
+        n = int(rng.integers(200, 800))
+        x = rng.standard_normal((n, 2)) @ np.array([[1.0, 0.0], [0.5, 0.8]])
+        g = (50, 64, 100)[i % 3]
+        gc = linear_binning(x, make_grid(x, (g, g)))
+        h = normal_scale_start(x) * rng.uniform(0.5, 2.0)
+        counts = gc.counts
+        n2 = counts.sum() ** 2
+        autocorr = fftconvolve(counts, counts[::-1, ::-1])
+        a_zero = np.sum(counts * counts) / n2
+        for pair_sum, table, factor in (
+                (psi_binned, build_kernel_grid(gc.grid, h, r, mode="fft-M"), 2.0),
+                (q_r_binned, eta_kernel_grid(gc.grid, h, r, mode="fft-M"), 1.0)):
+            full = pair_sum(gc, h, r, mode="fft-M")
+            diff = pair_sum(gc, h, r, mode="fft-L", tau=tau) - full
+            out = _dropped_offsets(gc.grid, h, factor, tau)
+            tail = -np.sum(table[out] * autocorr[out]) / n2
+            bound = a_zero * np.sum(np.abs(table[out]))
+            residuals.append(abs(diff - tail) / abs(full))
+            ratios.append(bound / abs(diff) if diff else math.inf)
+            gaps.append(abs(diff) / abs(full))
+    print(f"r = {r}: fft-L max relative gap {max(gaps):.3e}, tail residual "
+          f"{max(residuals):.3e} (tol 1e-10), min bound/gap {min(ratios):.2f} (>= 1), "
+          f"{sum(math.isfinite(v) for v in ratios)} of {len(ratios)} cases truncated")
+    assert max(residuals) <= 1e-10
+    assert min(ratios) >= 1.0

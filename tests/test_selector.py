@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -601,6 +602,26 @@ def test_selection_counts_rejected_evaluations(rep):
     assert 0 <= res.n_rejected <= res.n_evals
     calm = select_bandwidth(np.random.default_rng(rep).standard_normal((100, 2)))
     assert calm.n_rejected == 0
+
+
+@pytest.mark.parametrize("mode", SELECTOR_MODES)
+def test_overflowing_order_two_kernels_are_rejected_without_a_warning(mode):
+    # At r = 2 this sample drives the simplex toward a singular H, where
+    # the kernel's density underflows to 0 and its Hermite sum overflows
+    # to inf.  Those scores are NaN, rejected as "non-finite", and no
+    # RuntimeWarning escapes (pytest turns one into an error): the run
+    # counts the same rejections as one with warnings ignored.
+    x = np.random.default_rng(20261022).standard_normal((120, 2)) @ np.array(
+        [[1.0, 0.0], [0.6, 0.8]])
+    config = SelectorConfig(mode=mode, grid_size=10, r=2)
+    res = select_bandwidth(x, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        quiet = select_bandwidth(x, config)
+    assert res.rejections == quiet.rejections
+    assert np.array_equal(res.h, quiet.h)
+    if mode != "direct-exact":
+        assert res.rejections["non-finite"] > 0
 
 
 @pytest.mark.parametrize("diagonal", [False, True])
